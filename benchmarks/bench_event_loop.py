@@ -43,8 +43,8 @@ if __package__ is None or __package__ == "":  # run as a plain script
 
 from benchmarks.conftest import report
 from repro.sim.network import Network
-from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
+from repro.transport.runtime import ProcessBase as Process
 
 DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_event_loop.json"
 

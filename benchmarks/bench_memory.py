@@ -4,26 +4,25 @@ The columnar history plane (:mod:`repro.exec.oplog`,
 :mod:`repro.verification.columnar`) exists to make million-op runs
 memory-lean: operations live in parallel ``array`` columns with an interned
 value table instead of one ``Operation`` object (plus boxed floats, dict and
-GC header) per op, and shard workers ship those raw columns to the parent as
-pickle protocol-5 out-of-band buffers instead of pickling an object graph.
-This benchmark measures both claims on a real ``kv_openloop`` run:
+GC header) per op, and load-generator workers ship those raw columns to the
+parent as pickle protocol-5 out-of-band buffers
+(:func:`~repro.exec.oplog.encode_oplog`) instead of pickling an object
+graph.  This benchmark measures both claims on a real ``kv_openloop`` run:
 
 * **history bytes/op** — the deep size of the per-key object histories
   (``History.from_records`` over every key, the pre-columnar plane) against
   the columnar plane (raw column bytes plus the shared interned value
   table).  The committed baseline must show a >= 3x reduction;
-* **worker->parent transfer bytes** — the legacy payload (the
-  ``(scripted index, ExecOp)`` pairs the engine used to pickle through the
-  pipe, continuations stripped) against the actual columnar payload bytes
-  recorded by a ``workers=2`` run (``result.ipc_bytes``);
+* **worker->parent transfer bytes** — the legacy payload (the run's
+  ``(index, ExecOp)`` pairs pickled as one object graph, continuations
+  stripped) against the run's whole log on the columnar wire
+  (``transfer_size(*encode_oplog(oplog))``);
 * a **probe** at a smaller size whose deterministic fields (op counts, the
   two reduction ratios, columnar transfer bytes) are what
   ``benchmarks/check_bench_regression.py`` gates — cheap enough to
   re-derive in CI;
-* **peak RSS** (``ru_maxrss``) and probe-size parallel run/check wall times
-  next to the committed ``BENCH_parallel.json`` baselines — recorded for
-  the record, never gated (RSS and wall clock depend on the machine; the
-  byte counts and ratios do not).
+* **peak RSS** (``ru_maxrss``) — recorded for the record, never gated (RSS
+  depends on the machine; the byte counts and ratios do not).
 
 Run modes:
 
@@ -50,15 +49,14 @@ if __package__ is None or __package__ == "":  # run as a plain script
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from benchmarks.conftest import report
+from repro.exec.oplog import encode_oplog, transfer_size
 from repro.verification.history import History
 from repro.workloads.kv import run_kv_workload
 from repro.workloads.scenarios import kv_openloop
 
 DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_memory.json"
-BASELINE_PARALLEL = pathlib.Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
-#: Same workload shape as BENCH_parallel.json so the wall-clock columns are
-#: directly comparable to its committed probe runs.
+#: The 64-key open-loop shape the ROADMAP's run-cost probes use.
 SHAPE = {"num_keys": 64, "arrival_rate": 50.0, "seed": 4}
 FULL_OPS = 100_000
 PROBE_OPS = 10_000
@@ -140,20 +138,13 @@ def measure_history(num_ops: int) -> dict:
 
 
 def measure_transfer(num_ops: int) -> dict:
-    """Worker->parent bytes: legacy pickled ExecOp pairs vs columnar buffers."""
-    spec = kv_openloop(num_ops=num_ops, **SHAPE)
-    parallel = run_kv_workload(spec.with_(workers=2))
-    assert parallel.worker_failure is None, parallel.worker_failure
-    columnar_bytes = parallel.ipc_bytes
-    assert columnar_bytes > 0, "parallel run recorded no IPC bytes"
+    """One run's log on the wire: legacy pickled ExecOp pairs vs columnar buffers."""
+    result = run_kv_workload(kv_openloop(num_ops=num_ops, **SHAPE))
+    columnar_bytes = transfer_size(*encode_oplog(result.store.driver.oplog))
 
-    # The legacy payload: every worker pickled its (scripted index, ExecOp)
-    # pairs — continuations stripped — through the pipe.  Rebuild it from a
-    # serial run of the same spec (the pair set is identical; splitting it
-    # across two pickles only adds framing overhead, so this is the
-    # *flattering* estimate of the old cost).
-    serial = run_kv_workload(spec)
-    ops = serial.ops
+    # The legacy payload: the (index, ExecOp) pairs — continuations
+    # stripped — pickled as one object graph.
+    ops = result.ops
     saved = [op.on_done for op in ops]
     try:
         for op in ops:
@@ -165,33 +156,11 @@ def measure_transfer(num_ops: int) -> dict:
 
     return {
         "num_ops": num_ops,
-        "workers": 2,
         "operations": len(ops),
         "legacy_bytes": legacy_bytes,
         "columnar_bytes": columnar_bytes,
         "reduction": round(legacy_bytes / columnar_bytes, 2),
     }
-
-
-def measure_parallel_wall(worker_counts) -> list:
-    """Probe-size run+check wall times next to the committed parallel baseline."""
-    from benchmarks.bench_parallel import PROBE_OPS as PARALLEL_PROBE_OPS, timed_run
-
-    baseline_runs: dict = {}
-    if BASELINE_PARALLEL.exists():
-        with BASELINE_PARALLEL.open() as handle:
-            committed = json.load(handle)
-        baseline_runs = {
-            cell["workers"]: cell for cell in committed["probe"]["runs"]
-        }
-    cells = []
-    for workers in worker_counts:
-        cell = timed_run(PARALLEL_PROBE_OPS, workers=workers)
-        reference = baseline_runs.get(workers)
-        cell["baseline_wall_seconds_run"] = reference and reference["wall_seconds_run"]
-        cell["baseline_wall_seconds_check"] = reference and reference["wall_seconds_check"]
-        cells.append(cell)
-    return cells
 
 
 def peak_rss_kb() -> int:
@@ -243,7 +212,6 @@ def main(argv: Optional[list] = None) -> int:
     history = measure_history(FULL_OPS)
     transfer = measure_transfer(FULL_OPS)
     _assert_floors(history, transfer)
-    wall = measure_parallel_wall((1, 2, 4))
 
     payload = {
         "benchmark": "columnar_memory_plane",
@@ -253,14 +221,13 @@ def main(argv: Optional[list] = None) -> int:
         "transfer": transfer,
         "probe": {"num_ops": PROBE_OPS, "history": probe_history,
                   "transfer": probe_transfer},
-        "parallel_wall": wall,
         "peak_rss_kb": peak_rss_kb(),
         "note": (
             "byte counts and reduction ratios are machine-independent and "
             "gated by check_bench_regression.py at the probe size; "
-            "peak_rss_kb and the parallel_wall columns are informational "
-            "(they depend on the machine; baseline_* columns come from the "
-            "committed BENCH_parallel.json probe)"
+            "peak_rss_kb is informational (it depends on the machine); "
+            "transfer bytes are one run's whole log encoded with "
+            "encode_oplog, the load generator's worker->parent wire"
         ),
         "python": platform.python_version(),
     }
@@ -273,18 +240,8 @@ def main(argv: Optional[list] = None) -> int:
         [
             ["history bytes/op", history["object_bytes_per_op"],
              history["columnar_bytes_per_op"], f"{history['reduction']}x"],
-            ["transfer bytes (workers=2)", transfer["legacy_bytes"],
+            ["transfer bytes (one log)", transfer["legacy_bytes"],
              transfer["columnar_bytes"], f"{transfer['reduction']}x"],
-        ],
-    )
-    report(
-        "parallel probe wall clock vs committed BENCH_parallel.json",
-        ["workers", "run s", "baseline run s", "check s", "baseline check s"],
-        [
-            [cell["workers"], cell["wall_seconds_run"],
-             cell["baseline_wall_seconds_run"], cell["wall_seconds_check"],
-             cell["baseline_wall_seconds_check"]]
-            for cell in wall
         ],
     )
     print(f"peak RSS: {payload['peak_rss_kb']} KiB")

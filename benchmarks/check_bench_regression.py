@@ -27,12 +27,6 @@ regressed by more than 25%:
   columnar transfer bytes themselves must not grow (someone widening a
   column or fattening the wire pickle shows up here; peak RSS and wall
   clock stay informational-only in the baseline);
-* ``BENCH_parallel.json`` — the shard-parallel engine's probe identities
-  (completed ops, message bill, virtual makespan, operations checked) must
-  match the committed baseline exactly AND be byte-equal between workers=1
-  and workers=2.  Wall-clock columns in the baseline are informational only
-  — never gated — because speedup depends on physical cores (``cpus``
-  field), while the identities are machine-independent;
 * ``BENCH_consensus.json`` — the MMR consensus objects must keep their
   per-slot message complexity: on the probe run the operation counts,
   decided-slot count and checker verdict are exact identities, while the
@@ -219,39 +213,6 @@ def check_memory() -> list[Check]:
     ]
 
 
-def check_parallel() -> list[Check]:
-    from benchmarks.bench_parallel import timed_run
-
-    baseline = _load("BENCH_parallel.json")
-    probe_ops = baseline["probe"]["num_ops"]
-    reference = baseline["probe"]["runs"][0]
-    serial = timed_run(probe_ops, workers=1)
-    parallel = timed_run(probe_ops, workers=2)
-    checks: list[Check] = []
-    for field in ("completed", "messages", "virtual_makespan", "operations_checked"):
-        checks.append(
-            (
-                f"parallel: probe {field} (workers=1)",
-                reference[field],
-                serial[field],
-                "exact",
-            )
-        )
-        # The engine's whole contract: parallel output is bit-identical to
-        # serial.  Gate the parallel run against the *serial measurement*,
-        # not just the baseline, so a divergence is caught even if both
-        # drifted together.
-        checks.append(
-            (
-                f"parallel: probe {field} (workers=2)",
-                serial[field],
-                parallel[field],
-                "exact",
-            )
-        )
-    return checks
-
-
 def check_consensus() -> list[Check]:
     from benchmarks.bench_consensus import consensus_run
 
@@ -325,7 +286,7 @@ def verdict(baseline: float, measured: float, direction: str) -> tuple[float, bo
 def main(quick: bool = False) -> int:
     checks: list[Check] = []
     for probe in (check_event_loop, check_store_throughput, check_coalescing,
-                  check_checker, check_memory, check_parallel, check_consensus):
+                  check_checker, check_memory, check_consensus):
         checks.extend(probe())
     checks.extend(check_live(quick=quick))
     rows = []

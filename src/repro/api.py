@@ -27,7 +27,6 @@ from repro.analysis.table1 import Table1, build_table1
 from repro.core.invariants import GlobalInvariantMonitor, attach_monitor
 from repro.core.process import TwoBitRegisterProcess
 from repro.explore import ExploreConfig, replay_artifact, run_exploration
-from repro.parallel import check_histories_parallel, run_kv_workload_parallel
 from repro.registers.base import RegisterHandle, RegisterProcess
 from repro.registers.registry import available_algorithms, get_algorithm
 from repro.sim.delays import DelayModel
@@ -51,13 +50,11 @@ __all__ = [
     "available_algorithms",
     "available_scenarios",
     "build_table1",
-    "check_histories_parallel",
     "create_register",
     "create_store",
     "get_scenario",
     "replay_artifact",
     "run_exploration",
-    "run_kv_workload_parallel",
     "run_workload",
 ]
 

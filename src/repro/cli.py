@@ -314,7 +314,6 @@ def _cmd_store_live(args: argparse.Namespace) -> int:
         (args.crashes, "--crashes"),
         (args.no_coalesce, "--no-coalesce"),
         (args.algorithms, "--algorithms"),
-        (args.workers != 1, "--workers"),
     ):
         if sim_only:
             print(
@@ -554,8 +553,6 @@ def cmd_store(args: argparse.Namespace) -> int:
             # Open-loop driving: the same key/op stream, arriving at seeded
             # times with mean rate --rate instead of batched submission.
             spec = spec.with_(arrival=args.arrival, arrival_rate=args.rate)
-        if args.workers != 1:
-            spec = spec.with_(workers=args.workers)
     except ValueError as exc:
         print(f"invalid store parameters: {exc}", file=sys.stderr)
         return 2
@@ -594,10 +591,6 @@ def cmd_store(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid store parameters: {exc}", file=sys.stderr)
         return 2
-    if result.worker_failure is not None:
-        print("parallel worker failure:", file=sys.stderr)
-        print(result.worker_failure, file=sys.stderr)
-        return 1
     crashes_fired = sum(len(shard.crashed_replicas) for shard in result.store.shards)
     report = result.check_atomicity(raise_on_violation=False)
     completed = result.completed_ops()
@@ -632,9 +625,6 @@ def cmd_store(args: argparse.Namespace) -> int:
         rows.insert(3, ["finished cleanly", "NO (virtual-time budget truncated the run)"])
     if spec.open_loop:
         rows.insert(4, ["offered load (ops/time-unit)", args.rate])
-    if spec.workers > 1:
-        rows.insert(2, ["worker processes", spec.workers])
-        rows.insert(3, ["worker->parent transfer", f"{result.ipc_bytes} bytes (columnar)"])
     print(
         format_table(
             ["metric", "value"],
@@ -767,10 +757,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     # --- batched vs per-operation driving -------------------------------
     spec = kv_uniform(num_keys=num_keys, num_ops=num_ops, seed=19)
-    if args.workers > 1:
-        # Shard-parallel execution is bit-identical to serial runs, so the
-        # emitted baselines stay comparable; only wall_seconds moves.
-        spec = spec.with_(workers=args.workers)
     batched = run_kv_workload(spec.with_(batch_size=64))
     per_op = run_kv_workload(spec.with_(batch_size=1))
     batched.check_atomicity()
@@ -816,10 +802,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sweep = []
     rows = []
     for rate in rates:
-        open_spec = kv_openloop(num_keys=num_keys, num_ops=num_ops, arrival_rate=rate, seed=8)
-        if args.workers > 1:
-            open_spec = open_spec.with_(workers=args.workers)
-        result = run_kv_workload(open_spec)
+        result = run_kv_workload(
+            kv_openloop(num_keys=num_keys, num_ops=num_ops, arrival_rate=rate, seed=8)
+        )
         result.check_atomicity()
         latency = result.metrics["latency"]["all"]
         sweep.append(
@@ -860,14 +845,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def _consensus_invariant_violations(store) -> Optional[list]:
     """Agreement/validity violations off a store's consensus replicas.
 
-    Returns ``None`` when the store deploys no consensus-backed keys (or is
-    a merged parallel view without live processes) — the caller then skips
-    the invariant row entirely instead of claiming a vacuous pass.
+    Returns ``None`` when the store deploys no consensus-backed keys — the
+    caller then skips the invariant row entirely instead of claiming a
+    vacuous pass.
     """
     from repro.consensus import ConsensusObjectProcess, consensus_invariants
 
-    if not hasattr(store, "deployed_keys") or not hasattr(store, "register_for"):
-        return None
     by_key = {}
     for key in store.deployed_keys:
         processes = [
@@ -888,7 +871,7 @@ def cmd_consensus(args: argparse.Namespace) -> int:
     Runs one of the consensus scenarios (``kv_cas``, ``kv_counter``,
     ``consensus_smoke``) on the simulator or the live loopback cluster,
     checks every key's history against the SMR specification, and — when
-    the replica processes are reachable (sim, serial) — verifies the
+    the replica processes are reachable (sim) — verifies the
     protocol-level agreement and validity invariants straight off the
     decided slots.  Exit 0 only if everything holds.
     """
@@ -908,8 +891,6 @@ def cmd_consensus(args: argparse.Namespace) -> int:
         spec = builder(**overrides)
         if args.algorithm:
             spec = spec.with_(algorithm=args.algorithm)
-        if args.workers != 1:
-            spec = spec.with_(workers=args.workers)
         if args.transport == "live":
             spec = spec.with_(transport="live")
     except ValueError as exc:
@@ -928,10 +909,6 @@ def cmd_consensus(args: argparse.Namespace) -> int:
         finished = result.finished_cleanly
         invariants = None
     else:
-        if result.worker_failure is not None:
-            print("parallel worker failure:", file=sys.stderr)
-            print(result.worker_failure, file=sys.stderr)
-            return 1
         report = result.check_atomicity(raise_on_violation=False)
         check_failures = report.violations()
         completed = len(result.completed_ops())
@@ -1148,22 +1125,20 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     schedules = _chaos_schedules(quick)
 
     # Cells are independent seeded runs: fan them out over the process pool
-    # when --workers asks for it, in the exact order the serial sweep uses so
-    # the emitted payload is byte-identical either way.
+    # when --workers asks for it (workers=1 maps in-process), in the exact
+    # order the serial sweep uses so the emitted payload is byte-identical
+    # either way.
+    from repro.parallel import WorkerFailure, run_chunked
+
     cells = [(name, seed) for name, _ in schedules for seed in seeds]
     payloads = [
         (name, seed, quick, index == 0) for index, (name, seed) in enumerate(cells)
     ]
-    if args.workers > 1:
-        from repro.parallel import WorkerFailure, run_chunked
-
-        try:
-            outcomes = run_chunked(_chaos_cell_payload, payloads, args.workers)
-        except WorkerFailure as exc:
-            print(f"chaos sweep worker failed:\n{exc}", file=sys.stderr)
-            return 1
-    else:
-        outcomes = [_chaos_cell_payload(payload) for payload in payloads]
+    try:
+        outcomes = run_chunked(_chaos_cell_payload, payloads, args.workers)
+    except WorkerFailure as exc:
+        print(f"chaos sweep worker failed:\n{exc}", file=sys.stderr)
+        return 1
 
     runs = []
     rows = []
@@ -1478,16 +1453,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     sub.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for shard-parallel execution (default 1 = "
-            "in-process; N > 1 partitions shards into N groups, bit-identical "
-            "output)"
-        ),
-    )
-    sub.add_argument(
         "--transport",
         choices=["sim", "live"],
         default="sim",
@@ -1622,12 +1587,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="sim",
         help="simulator (default) or live asyncio loopback cluster",
     )
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for shard-parallel execution (sim only)",
-    )
     sub.set_defaults(handler=cmd_consensus)
 
     sub = subparsers.add_parser(
@@ -1722,15 +1681,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=".",
         dest="out_dir",
         help="directory for the BENCH_*.json files (default: current directory)",
-    )
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for the benchmark runs (default 1; payloads are "
-            "bit-identical either way, only wall_seconds moves)"
-        ),
     )
     sub.add_argument(
         "--transport",

@@ -11,7 +11,7 @@ line.  Recap of the structure of Figure 1:
 * ``PROCEED()`` handler   — line 22.
 
 The pseudocode's blocking ``wait`` statements map onto the guard mechanism of
-:class:`repro.sim.process.Process`:
+:class:`repro.transport.runtime.ProcessBase`:
 
 =========  =====================================================  ==========================
 line       awaited predicate                                      where implemented

@@ -208,3 +208,71 @@ class MetricsCollector:
         if self.fault_timeline is not None:
             snapshot["faults"] = list(self.fault_timeline)
         return snapshot
+
+
+# ---------------------------------------------------------- pooled merging
+#
+# The multi-process load generator (:mod:`repro.transport.loadgen`) runs one
+# collector per client worker and merges them here.  Percentiles are order
+# statistics: the p99 of a union is not any function of the per-worker p99s,
+# so workers ship raw samples, never summaries, and the parent re-ranks the
+# pool.  The mean sums in worker-concatenation order, so it can differ from a
+# single collector's in the last few ulps.
+
+
+def collector_raw_state(metrics: MetricsCollector) -> Dict[str, Any]:
+    """The picklable raw state :func:`merge_metrics` consumes.
+
+    Samples are keyed by ``OperationKind.value`` so the payload survives
+    pickling without enum round-trips; each bucket ships as its flat
+    ``array('d')`` (one byte block, not a float object per sample).
+    """
+    return {
+        "issued": metrics.issued,
+        "completed": metrics.completed,
+        "failed": metrics.failed,
+        "first_issue_at": metrics.first_issue_at,
+        "last_completion_at": metrics.last_completion_at,
+        "latencies": {
+            getattr(kind, "value", str(kind)): samples
+            for kind, samples in metrics._latencies.items()
+        },
+    }
+
+
+def merge_metrics(parts: List[Dict[str, Any]], messages: int) -> Dict[str, Any]:
+    """A :meth:`MetricsCollector.snapshot`-shaped dict from pooled raw parts.
+
+    ``parts`` are :func:`collector_raw_state` dicts; ``messages`` is the
+    run's total message bill.  The throughput window spans the earliest
+    first issue to the latest last completion over all parts.
+    """
+    merged = MetricsCollector()
+    pooled: Dict[str, array] = {}
+    for part in parts:
+        merged.issued += part["issued"]
+        merged.completed += part["completed"]
+        merged.failed += part["failed"]
+        for kind_value, samples in part["latencies"].items():
+            pooled.setdefault(kind_value, array("d")).extend(samples)
+    merged.first_issue_at = min(
+        (part["first_issue_at"] for part in parts if part["first_issue_at"] is not None),
+        default=None,
+    )
+    merged.last_completion_at = max(
+        (part["last_completion_at"] for part in parts if part["last_completion_at"] is not None),
+        default=None,
+    )
+    # Kinds beyond READ/WRITE get their buckets in name order, so the
+    # snapshot never depends on the order the parts arrived in.
+    for kind_value in sorted(pooled):
+        merged._latencies.setdefault(OperationKind(kind_value), array("d")).extend(
+            pooled[kind_value]
+        )
+    snapshot = merged.snapshot()
+    snapshot["messages"] = {
+        "total": messages,
+        "per_completed_op": (messages / merged.completed) if merged.completed else None,
+        "by_type": {},
+    }
+    return snapshot

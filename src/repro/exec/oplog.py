@@ -31,24 +31,21 @@ through views:
 * :meth:`OpLog.per_key_histories` groups issued rows by key and emits
   :class:`~repro.verification.columnar.ColumnarHistory` objects that share
   the log's value table — the store's history/checking plane allocates no
-  per-op objects at all;
-* :class:`LoggedOp` / :class:`LoggedRecord` give merged parallel runs the
-  ``ExecOp`` / ``OperationRecord`` surface without shipping or retaining
-  the objects.
+  per-op objects at all.
 
 The wire format (:func:`encode_oplog` / :func:`decode_oplog`) serializes
-the raw column buffers with pickle protocol 5 out-of-band buffers: a
-worker's whole run crosses the pipe as a handful of flat byte blocks plus
-the value table, not a pickled object graph.
+the raw column buffers with pickle protocol 5 out-of-band buffers: a load
+generator client worker (:mod:`repro.transport.loadgen`) ships its whole
+run to the parent as a handful of flat byte blocks plus the value table,
+not a pickled object graph, and the parent merges the logs with
+:meth:`OpLog.extend_remapped`.
 """
 
 from __future__ import annotations
 
-import math
 import pickle
 from array import array
-from collections.abc import Sequence
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.registers.base import OperationKind, OperationRecord
 from repro.verification.columnar import KIND_TO_BYTE, ColumnarHistory, ValueInterner
@@ -214,16 +211,9 @@ class OpLog:
             total += column.itemsize * len(column)
         return total
 
-    def op_view(self, row: int) -> "LoggedOp":
-        return LoggedOp(self, row)
-
-    def ops_view(self) -> "OpLogOps":
-        """The whole log as a lazy sequence of :class:`LoggedOp` views."""
-        return OpLogOps(self)
-
     # -------------------------------------------------------------- merging
 
-    def extend_remapped(self, other: "OpLog") -> List[int]:
+    def extend_remapped(self, other: "OpLog") -> int:
         """Append ``other``'s rows, re-interning its table; returns base row offset."""
         table_map = [self.interner.intern(value) for value in other.interner.values]
         kind_map = []
@@ -250,209 +240,10 @@ class OpLog:
             self.reasons[base + row] = reason
         return base
 
-    def reordered(self, order: List[int]) -> "OpLog":
-        """A copy with rows permuted so new row ``i`` is old row ``order[i]``."""
-        merged = OpLog()
-        merged.kinds = list(self.kinds)
-        merged._kind_slot = dict(self._kind_slot)
-        merged.interner = self.interner
-        merged._kind = bytearray(self._kind[row] for row in order)
-        for name in (
-            "_key_idx",
-            "_value_idx",
-            "_submitted",
-            "_pid",
-            "_proc_op_id",
-            "_invoked",
-            "_responded",
-            "_result_idx",
-        ):
-            source = getattr(self, name)
-            column = array(source.typecode)
-            column.extend(source[row] for row in order)
-            setattr(merged, name, column)
-        merged._failed = bytearray(self._failed[row] for row in order)
-        inverse = {old: new for new, old in enumerate(order)}
-        merged.reasons = {inverse[row]: reason for row, reason in self.reasons.items()}
-        return merged
-
-
-# ------------------------------------------------------------------- views
-
-
-class LoggedRecord:
-    """Read-only ``OperationRecord`` view over one issued :class:`OpLog` row."""
-
-    __slots__ = ("_log", "_row")
-
-    def __init__(self, log: OpLog, row: int) -> None:
-        self._log = log
-        self._row = row
-
-    @property
-    def pid(self) -> int:
-        return self._log._pid[self._row]
-
-    @property
-    def op_id(self) -> int:
-        return self._log._proc_op_id[self._row]
-
-    @property
-    def kind(self) -> Any:
-        return self._log.kinds[self._log._kind[self._row]]
-
-    @property
-    def value(self) -> Any:
-        return self._log.interner.values[self._log._value_idx[self._row]]
-
-    @property
-    def result(self) -> Any:
-        idx = self._log._result_idx[self._row]
-        return None if idx < 0 else self._log.interner.values[idx]
-
-    @property
-    def invoked_at(self) -> float:
-        return self._log._invoked[self._row]
-
-    @property
-    def responded_at(self) -> Optional[float]:
-        at = self._log._responded[self._row]
-        return None if math.isnan(at) else at
-
-    @property
-    def completed(self) -> bool:
-        return not math.isnan(self._log._responded[self._row])
-
-    @property
-    def failed(self) -> bool:
-        return bool(self._log._failed[self._row])
-
-    @property
-    def latency(self) -> Optional[float]:
-        responded = self.responded_at
-        return None if responded is None else responded - self.invoked_at
-
-
-class LoggedOp:
-    """Read-only ``ExecOp`` view over one :class:`OpLog` row.
-
-    ``op_id`` is the row index — after a parallel merge reorders rows into
-    scripted order, that is exactly the op id the serial driver would have
-    assigned.
-    """
-
-    __slots__ = ("_log", "_row")
-
-    def __init__(self, log: OpLog, row: int) -> None:
-        self._log = log
-        self._row = row
-
-    @property
-    def op_id(self) -> int:
-        return self._row
-
-    @property
-    def kind(self) -> Any:
-        return self._log.kinds[self._log._kind[self._row]]
-
-    @property
-    def key(self) -> Any:
-        return self._log.interner.values[self._log._key_idx[self._row]]
-
-    @property
-    def value(self) -> Any:
-        return self._log.interner.values[self._log._value_idx[self._row]]
-
-    @property
-    def submitted_at(self) -> Optional[float]:
-        at = self._log._submitted[self._row]
-        return None if math.isnan(at) else at
-
-    @property
-    def failed(self) -> bool:
-        return bool(self._log._failed[self._row])
-
-    @property
-    def failure_reason(self) -> str:
-        return self._log.reasons.get(self._row, "")
-
-    @property
-    def record(self) -> Optional[LoggedRecord]:
-        if self._log._pid[self._row] == -1:
-            return None
-        return LoggedRecord(self._log, self._row)
-
-    @property
-    def completed(self) -> bool:
-        return (
-            not self._log._failed[self._row]
-            and not math.isnan(self._log._responded[self._row])
-        )
-
-    @property
-    def done(self) -> bool:
-        return self.failed or self.completed
-
-    @property
-    def result(self) -> Any:
-        if not self.completed:
-            raise RuntimeError(
-                f"{self.kind.value}({self.key!r}) has not completed"
-                + (f" (failed: {self.failure_reason})" if self.failed else "")
-            )
-        if self.kind is OperationKind.WRITE:
-            return self.value
-        idx = self._log._result_idx[self._row]
-        return None if idx < 0 else self._log.interner.values[idx]
-
-    @property
-    def sojourn_latency(self) -> Optional[float]:
-        responded = self._log._responded[self._row]
-        if math.isnan(responded):
-            return None
-        submitted = self._log._submitted[self._row]
-        if math.isnan(submitted):
-            invoked = self._log._invoked[self._row]
-            return responded - invoked
-        return responded - submitted
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LoggedOp(op_id={self.op_id}, kind={self.kind!r}, key={self.key!r}, "
-            f"value={self.value!r}, failed={self.failed})"
-        )
-
-
-class OpLogOps(Sequence):
-    """Lazy list-of-ops facade over an :class:`OpLog` (views on demand)."""
-
-    __slots__ = ("_log",)
-
-    def __init__(self, log: OpLog) -> None:
-        self._log = log
-
-    def __len__(self) -> int:
-        return len(self._log)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [LoggedOp(self._log, i) for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        return LoggedOp(self._log, index)
-
-    def __iter__(self) -> Iterator[LoggedOp]:
-        log = self._log
-        for row in range(len(log)):
-            yield LoggedOp(log, row)
-
 
 # -------------------------------------------------------------- wire format
 #
-# Workers ship their OpLog (plus the scripted global index of each row) as
-# pickle protocol 5 out-of-band buffers: the pickle stream carries only the
+# Loadgen workers ship their OpLog as pickle protocol 5 out-of-band buffers: the pickle stream carries only the
 # structure and the value table, and each column crosses as one flat byte
 # block — no per-operation pickle opcodes, no object graph.
 
@@ -470,57 +261,43 @@ _WIRE_COLUMNS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def encode_oplog(
-    log: OpLog, global_index: Optional[array] = None
-) -> Tuple[bytes, List[bytes]]:
+def encode_oplog(log: OpLog) -> Tuple[bytes, List[bytes]]:
     """Serialize ``log`` to ``(pickle_bytes, out_of_band_buffers)``.
 
-    ``global_index`` (optional, ``array('q')``) maps each row to its global
-    scripted index for parallel reassembly.  The returned buffers are plain
-    ``bytes`` so the pair can cross a multiprocessing pipe as-is; transfer
-    size is ``len(pickle_bytes) + sum(len(b) for b in buffers)``.
+    The returned buffers are plain ``bytes`` so the pair can cross a
+    multiprocessing queue as-is; transfer size is
+    ``len(pickle_bytes) + sum(len(b) for b in buffers)``.
     """
-    columns = []
-    for name, _typecode in _WIRE_COLUMNS:
-        columns.append(pickle.PickleBuffer(getattr(log, name)))
-    if global_index is not None:
-        columns.append(pickle.PickleBuffer(global_index))
     payload = {
         "rows": len(log),
         "kinds": log.kinds,
         "table": log.interner.values,
         "reasons": log.reasons,
-        "has_global": global_index is not None,
-        "columns": columns,
+        "columns": [pickle.PickleBuffer(getattr(log, name)) for name, _ in _WIRE_COLUMNS],
     }
     buffers: List[pickle.PickleBuffer] = []
     blob = pickle.dumps(payload, protocol=5, buffer_callback=buffers.append)
     return blob, [buffer.raw().tobytes() for buffer in buffers]
 
 
-def decode_oplog(blob: bytes, buffers: List[bytes]) -> Tuple[OpLog, Optional[array]]:
-    """Inverse of :func:`encode_oplog`; returns ``(oplog, global_index)``."""
+def decode_oplog(blob: bytes, buffers: List[bytes]) -> OpLog:
+    """Inverse of :func:`encode_oplog`."""
     payload = pickle.loads(blob, buffers=buffers)
     log = OpLog()
     log.kinds = list(payload["kinds"])
     log._kind_slot = {kind: i for i, kind in enumerate(log.kinds)}
     log.reasons = dict(payload["reasons"])
     log.interner = ValueInterner(payload["table"])
-    raw = payload["columns"]
-    for (name, typecode), data in zip(_WIRE_COLUMNS, raw):
+    for (name, typecode), data in zip(_WIRE_COLUMNS, payload["columns"]):
         if typecode == "B":
             setattr(log, name, bytearray(data))
         else:
             column = array(typecode)
             column.frombytes(data)
             setattr(log, name, column)
-    global_index: Optional[array] = None
-    if payload["has_global"]:
-        global_index = array("q")
-        global_index.frombytes(bytes(raw[len(_WIRE_COLUMNS)]))
-    return log, global_index
+    return log
 
 
 def transfer_size(blob: bytes, buffers: List[bytes]) -> int:
-    """Bytes a worker payload puts on the pipe (stream + out-of-band blocks)."""
+    """Bytes an encoded log puts on the wire (stream + out-of-band blocks)."""
     return len(blob) + sum(len(buffer) for buffer in buffers)

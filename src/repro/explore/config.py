@@ -58,9 +58,9 @@ class ExploreConfig:
     max_counterexamples: int = 1
     #: Per-key search budget for the Wing–Gong checker on explored runs.
     check_max_states: int = 1_000_000
-    #: Worker processes for the sweep (:mod:`repro.parallel`): cases are
-    #: independent seeded executions, so ``N > 1`` runs them on a process
-    #: pool.  Verdicts, counts and any shrunken counterexample are identical
+    #: Worker processes for the sweep: cases are independent seeded
+    #: executions, so ``N > 1`` runs them on a process pool
+    #: (:func:`repro.parallel.run_chunked`).  Verdicts, counts and any shrunken counterexample are identical
     #: to the serial sweep; ``1`` is exactly the serial loop.
     workers: int = 1
 

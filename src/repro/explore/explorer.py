@@ -144,8 +144,8 @@ def _explore_case_main(payload) -> Dict[str, Any]:
 def run_exploration(config: ExploreConfig) -> ExploreReport:
     """Explore ``config.budget`` schedules; shrink and package any violation.
 
-    ``config.workers > 1`` runs the sweep's cases on the
-    :mod:`repro.parallel` pool.  Cases are independent seeded executions, so
+    ``config.workers > 1`` runs the sweep's cases on a process pool
+    (:func:`repro.parallel.run_chunked`).  Cases are independent seeded executions, so
     only the cheap fan-out changes: violating cases are replayed in the
     parent from their recorded perturbation entries (the replay contract
     makes that execution identical to the worker's), and materialization,
@@ -160,7 +160,7 @@ def run_exploration(config: ExploreConfig) -> ExploreReport:
     if config.workers > 1:
         from itertools import islice
 
-        from repro.parallel.pool import run_chunked
+        from repro.parallel import run_chunked
 
         prepared = list(islice(strategy.cases(), config.budget))
         summaries = run_chunked(

@@ -21,7 +21,7 @@ Public entry points
     The event loop: virtual clock, event queue, observers.
 :class:`~repro.sim.network.Network`
     Reliable, non-FIFO, crash-aware channels with message accounting.
-:class:`~repro.sim.process.Process`
+:class:`~repro.transport.runtime.ProcessBase` (exported here as ``Process``)
     Base class for protocol processes (send / message handlers / guards).
 :class:`~repro.sim.failures.CrashSchedule`
     Declarative crash injection.
@@ -40,9 +40,9 @@ from repro.sim.delays import (
 from repro.sim.events import Event, EventQueue
 from repro.sim.failures import CrashSchedule, FailureInjector
 from repro.sim.network import Channel, MessageRecord, Network, NetworkStats
-from repro.sim.process import Guard, Process, ProcessCrashedError
 from repro.sim.scheduler import Simulator, SimulationError
 from repro.sim.tracing import TraceEvent, Tracer
+from repro.transport.runtime import Guard, ProcessBase as Process, ProcessCrashedError
 
 __all__ = [
     "Channel",

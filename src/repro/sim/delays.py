@@ -56,11 +56,9 @@ class DelayModel(ABC):
         The sharded store gives every key's subnet a *scoped* delay model
         (scope = the subnet name) so that a subnet's delay draws depend only
         on its own send sequence, never on interleaving with other subnets.
-        That is what makes disjoint shard groups executable in separate
-        worker processes with bit-identical results (see
-        :mod:`repro.parallel`): the scoped seed is derived deterministically
-        from the model's own seed and the scope string, mirroring how
-        perturbation streams are scoped per subnet.
+        The scoped seed is derived deterministically from the model's own
+        seed and the scope string, mirroring how perturbation streams are
+        scoped per subnet.
 
         Stateless models (no RNG) return themselves; seeded models return a
         fresh instance with a derived seed.

@@ -10,7 +10,7 @@ stays correct).  This module provides:
 * :class:`FailureInjector` — installs a schedule into a simulation;
 * helpers to generate random (seeded) schedules for property-based tests.
 
-Crash semantics themselves live in :class:`~repro.sim.process.Process` /
+Crash semantics themselves live in :class:`~repro.transport.runtime.ProcessBase` /
 :class:`~repro.sim.network.Network`: a crashed process stops taking steps and
 messages addressed to it are dropped at delivery time.
 """

@@ -2,7 +2,7 @@
 
 The :class:`Simulator` owns the virtual clock and the :class:`EventQueue`.
 Protocol code never blocks: waits are expressed as *guards* on processes
-(see :mod:`repro.sim.process`) or as events scheduled in the future.  The
+(see :mod:`repro.transport.runtime`) or as events scheduled in the future.  The
 simulator advances time only when it pops an event, so the clock jumps from
 event to event — there is no real-time component at all.
 
@@ -156,25 +156,6 @@ class Simulator:
                 self._now = max(self._now, until)
                 break
             self.step()
-
-    def run_before(self, until: float) -> None:
-        """Process every event *strictly before* ``until``; advance the clock to it.
-
-        The shard-parallel barrier primitive (:mod:`repro.parallel`): after a
-        worker's batch completes locally, the cluster agrees on the global
-        completion time ``T`` and every worker calls ``run_before(T)``.
-        Events at exactly ``T`` stay pending — in the single-process
-        execution, same-instant events scheduled after the batch-completing
-        event are *not* processed before the next batch is submitted, and the
-        barrier must reproduce that state exactly.
-        """
-        self._stopped = False
-        while not self._stopped:
-            next_time = self._queue.peek_time()
-            if next_time is None or next_time >= until:
-                break
-            self.step()
-        self._now = max(self._now, until)
 
     def run_until(self, predicate: Callable[[], bool], limit: Optional[float] = None) -> bool:
         """Run until ``predicate()`` becomes true.

@@ -85,24 +85,6 @@ class ShardMap:
         """Crashes each shard tolerates: the largest ``t`` with ``t < replication/2``."""
         return (self.replication - 1) // 2
 
-    def shard_groups(self, n_groups: int) -> tuple[tuple[int, ...], ...]:
-        """Partition shard ids into ``n_groups`` disjoint, deterministic groups.
-
-        Group ``g`` gets shards ``g, g + n_groups, g + 2*n_groups, ...`` —
-        plain round-robin over shard ids, so the partition depends only on
-        ``num_shards`` and ``n_groups`` (never on hashing, platform or run).
-        This is the unit of parallelism for :mod:`repro.parallel`: shards are
-        independent crash domains, so any grouping of whole shards preserves
-        every coupling the store has.  Groups may be empty when
-        ``n_groups > num_shards``; the union is always exactly
-        ``range(num_shards)``.
-        """
-        if n_groups < 1:
-            raise ValueError(f"need at least one group, got {n_groups}")
-        return tuple(
-            tuple(range(group, self.num_shards, n_groups)) for group in range(n_groups)
-        )
-
     def servers_of(self, shard: int) -> tuple[int, ...]:
         """Global server ids of ``shard``'s replicas."""
         if not 0 <= shard < self.num_shards:

@@ -103,14 +103,6 @@ class StoreConfig:
         ``shard_algorithms[i]``; unset means every shard runs ``algorithm``.
         The shared quorum engine makes mixing algorithms under one workload
         cheap — this is what the ``kv_mixed`` scenario exercises.
-    workers:
-        Worker processes for shard-parallel execution (see
-        :mod:`repro.parallel`).  ``1`` (default) is the plain single-process
-        path; ``N > 1`` partitions shards into ``N`` disjoint groups and runs
-        each group in its own process.  Carried on the config so workloads
-        and the parallel engine can rebuild identical stores; a
-        :class:`KVStore` itself always simulates whatever shards it hosts in
-        one process.
     max_events:
         Event-count safety valve for the store's simulator (``None`` = the
         :class:`~repro.sim.scheduler.Simulator` default).  Million-op runs
@@ -127,7 +119,6 @@ class StoreConfig:
     trace: bool = False
     coalesce: bool = True
     shard_algorithms: Optional[Tuple[str, ...]] = None
-    workers: int = 1
     max_events: Optional[int] = None
     #: Backend name (``"sim"``/``"live"``).  A :class:`KVStore` itself is the
     #: *simulated* deployment — constructing one from a live config raises;
@@ -142,8 +133,6 @@ class StoreConfig:
                 f"shard_algorithms has {len(self.shard_algorithms)} entries "
                 f"for {self.num_shards} shards; provide exactly one per shard"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def algorithm_for(self, shard: int) -> str:
         """The register algorithm keys of ``shard`` run."""
@@ -318,10 +307,9 @@ class KVStore:
         subnet = Subnet(self.network, name=f"shard{placement.shard}:{key!r}")
         # Every subnet gets a *scoped* delay stream derived from the model's
         # seed and the subnet name: a subnet's delay draws then depend only on
-        # its own send sequence, never on interleaving with other subnets.
-        # This is what makes disjoint shard groups executable in separate
-        # worker processes with bit-identical histories (repro.parallel) —
+        # its own send sequence, never on interleaving with other subnets —
         # the same per-subnet scoping the explore perturbation streams use.
+        # The seeded goldens pin the histories these streams produce.
         subnet.delay_model = self.network.delay_model.scoped(subnet.name)
         algorithm = get_algorithm(self.config.algorithm_for(placement.shard))
         processes = algorithm.build(
@@ -657,7 +645,6 @@ class KVStore:
         self,
         swmr_fast_path: bool = True,
         max_states: Optional[int] = None,
-        workers: int = 1,
     ):
         """Check every key with the general linearizability checker.
 
@@ -666,7 +653,6 @@ class KVStore:
         default lets single-writer keys take the Lemma-10 claims fast path;
         ``swmr_fast_path=False`` forces the Wing–Gong search on every key
         (what the schedule explorer and the checker benchmark use).
-        ``workers > 1`` checks keys on a process pool (:mod:`repro.parallel`).
         Consensus-object stores are checked against the SMR spec
         (:meth:`StoreConfig.effective_spec`).
         """
@@ -676,7 +662,6 @@ class KVStore:
             self.histories(),
             swmr_fast_path=swmr_fast_path,
             max_states=max_states,
-            workers=workers,
             spec=self.config.effective_spec(),
         )
 

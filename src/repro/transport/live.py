@@ -734,6 +734,65 @@ class _PendingOp:
         self.future = future
 
 
+def record_reply(
+    pending: _PendingOp,
+    frame: Optional[Dict[str, Any]],
+    now: float,
+    oplog: OpLog,
+    metrics: MetricsCollector,
+) -> Optional[str]:
+    """Record one op's result frame (``None``: no reply); returns the failure reason."""
+    if frame is not None and frame.get("ok"):
+        record = pending.record
+        record.completed = True
+        record.result = frame.get("value")
+        record.responded_at = now
+        oplog.note_completed(pending.row, record)
+        metrics.note_completed(record.kind, now - record.invoked_at, now)
+        return None
+    reason = (frame or {}).get("error", "no response before deadline")
+    oplog.note_failed(pending.row, reason)
+    metrics.note_failed()
+    return reason
+
+
+def settle_on_reply(
+    pending: _PendingOp, settle: Callable[[_PendingOp, Optional[Dict[str, Any]]], Any]
+) -> None:
+    """Call ``settle(pending, frame)`` from the future's done-callback.
+
+    The reply is stamped the moment the reader hands it over, not when the
+    driving loop next looks at it, so latencies are real and the real-time
+    order between operations survives into the history.
+    """
+
+    def on_done(future: "asyncio.Future") -> None:
+        if not future.cancelled():
+            settle(pending, future.result())
+
+    pending.future.add_done_callback(on_done)
+
+
+async def settle_unanswered(
+    pendings: List[_PendingOp],
+    settle: Callable[[_PendingOp, Optional[Dict[str, Any]]], Any],
+    timeout: float,
+) -> None:
+    """Wait up to ``timeout`` seconds for replies; settle the rest as unanswered.
+
+    Waiting on *every* future (answered ones included) also flushes the
+    done-callbacks :func:`settle_on_reply` queued, so every answered
+    operation is settled by the time this returns.
+    """
+    if not pendings:
+        return
+    await asyncio.wait([pending.future for pending in pendings], timeout=max(0.001, timeout))
+    for pending in pendings:
+        if not pending.future.done():
+            pending.future.cancel()
+            settle(pending, None)
+
+
 class LiveClient:
     """One connection per replica plus op-id dispatch of result frames."""
 
@@ -895,8 +954,6 @@ def run_live_workload(
 
 
 def _validate_live_spec(spec: Any) -> None:
-    if spec.workers > 1:
-        raise ValueError("live transport runs single-client; workers must be 1")
     if spec.crash_points:
         raise ValueError(
             "crash injection is simulated-only; live runs cannot schedule crash_points"
@@ -966,6 +1023,7 @@ async def _run_live_async(
             oplog.note_issued(row, record)
             metrics.note_issued(now)
             pending = _PendingOp(row, record, loop.create_future())
+            settle_on_reply(pending, settle)
             client.pending[op_id] = pending
             client.conns[replica].send(
                 {
@@ -978,42 +1036,22 @@ async def _run_live_async(
             )
             return pending
 
-        def settle(pending: _PendingOp, frame: Optional[Dict[str, Any]]) -> bool:
+        def settle(pending: _PendingOp, frame: Optional[Dict[str, Any]]) -> None:
             nonlocal clean
-            if frame is not None and frame.get("ok"):
-                now = clock.now
-                record = pending.record
-                record.completed = True
-                record.result = frame.get("value")
-                record.responded_at = now
-                oplog.note_completed(pending.row, record)
-                metrics.note_completed(record.kind, now - record.invoked_at, now)
-                return True
-            reason = (frame or {}).get("error", "no response before deadline")
-            oplog.note_failed(pending.row, reason)
-            metrics.note_failed()
-            clean = False
-            return False
+            if record_reply(pending, frame, clock.now, oplog, metrics) is not None:
+                clean = False
 
         if spec.open_loop:
             offsets = _live_arrival_offsets(spec)
             run_budget = max(MIN_RUN_TIMEOUT, (offsets[-1] if offsets else 0.0) + MIN_RUN_TIMEOUT)
-            in_flight: List[Tuple[_PendingOp, "asyncio.Future"]] = []
+            in_flight: List[_PendingOp] = []
             t0 = clock.now
             for offset, scripted in zip(offsets, iter_kv_operations(spec)):
                 delay = (t0 + offset) - clock.now
                 if delay > 0:
                     await asyncio.sleep(delay)
-                pending = fire(scripted.kind, scripted.key, scripted.value)
-                in_flight.append((pending, pending.future))
-            deadline = t0 + run_budget
-            for pending, future in in_flight:
-                budget = max(0.001, deadline - clock.now)
-                try:
-                    frame = await asyncio.wait_for(future, timeout=budget)
-                except asyncio.TimeoutError:
-                    frame = None
-                settle(pending, frame)
+                in_flight.append(fire(scripted.kind, scripted.key, scripted.value))
+            await settle_unanswered(in_flight, settle, t0 + run_budget - clock.now)
         else:
             stream = iter_kv_operations(spec)
             while True:
@@ -1021,12 +1059,7 @@ async def _run_live_async(
                 if not batch:
                     break
                 fired = [fire(op.kind, op.key, op.value) for op in batch]
-                done, _pending_futs = await asyncio.wait(
-                    [p.future for p in fired], timeout=MIN_RUN_TIMEOUT
-                )
-                for pending in fired:
-                    frame = pending.future.result() if pending.future in done else None
-                    settle(pending, frame)
+                await settle_unanswered(fired, settle, MIN_RUN_TIMEOUT)
                 if not all(p.record.completed for p in fired):
                     break  # a wedged batch: fail fast, do not pile more on
 

@@ -25,12 +25,14 @@ Determinism and soundness:
   :class:`~repro.exec.oplog.OpLog` rows merge into one history whose
   real-time order across workers is meaningful — which is what makes the
   merged linearizability verdict sound;
+* every reply is stamped the moment it arrives (a done-callback on its
+  future), so latencies are real and overlapping ops keep their real-time
+  order;
 * workers ship their logs back encoded (:func:`~repro.exec.oplog.encode_oplog`)
   together with raw metric samples; the parent merges with
   ``OpLog.extend_remapped`` and the pooled-sample percentile path
-  (:func:`~repro.parallel.merge.merge_metrics`) — the same machinery the
-  sharded simulator uses — then reports wall-clock p50/p95/p99 and gates
-  them against the spec's SLO.
+  (:func:`~repro.exec.metrics.merge_metrics`), then reports wall-clock
+  p50/p95/p99 and gates them against the spec's SLO.
 """
 
 from __future__ import annotations
@@ -43,12 +45,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.exec.metrics import MetricsCollector
+from repro.exec.metrics import MetricsCollector, collector_raw_state, merge_metrics
 from repro.exec.oplog import OpLog, decode_oplog, encode_oplog
-from repro.parallel.merge import collector_raw_state, merge_metrics
 from repro.registers.base import OperationKind, OperationRecord
 from repro.registers.registry import available_algorithms
-from repro.sim.network import NetworkStats
 from repro.sim.rng import make_rng
 from repro.transport.codec_binary import CODEC_PREFERENCE
 from repro.transport.live import (
@@ -56,6 +56,9 @@ from repro.transport.live import (
     LiveClient,
     WallClock,
     _PendingOp,
+    record_reply,
+    settle_on_reply,
+    settle_unanswered,
 )
 
 __all__ = ["LoadgenSpec", "LoadgenResult", "run_loadgen"]
@@ -203,6 +206,11 @@ async def _worker_async(
         op_ids = itertools.count()
         in_flight: List[_PendingOp] = []
 
+        def settle(pending: _PendingOp, frame: Optional[Dict[str, Any]]) -> None:
+            reason = record_reply(pending, frame, clock.now, oplog, metrics)
+            if reason is not None:
+                failures.append(f"{record_label(pending.record)}: {reason}")
+
         t0 = clock.now
         for offset, (kind, key, value) in zip(offsets, ops):
             delay = (t0 + offset) - clock.now
@@ -237,6 +245,7 @@ async def _worker_async(
             oplog.note_issued(row, record)
             metrics.note_issued(now)
             pending = _PendingOp(row, record, loop.create_future())
+            settle_on_reply(pending, settle)
             client.pending[op_id] = pending
             client.conns[replica].send(
                 {
@@ -253,26 +262,7 @@ async def _worker_async(
         # offered rate exceeds capacity; let the run's hard timeout govern,
         # keeping a margin to encode and ship results before the parent
         # gives up on us.
-        deadline = t0 + spec.timeout - _SHIP_MARGIN
-        for pending in in_flight:
-            budget = max(0.001, deadline - clock.now)
-            try:
-                frame = await asyncio.wait_for(pending.future, timeout=budget)
-            except asyncio.TimeoutError:
-                frame = None
-            if frame is not None and frame.get("ok"):
-                now = clock.now
-                record = pending.record
-                record.completed = True
-                record.result = frame.get("value")
-                record.responded_at = now
-                oplog.note_completed(pending.row, record)
-                metrics.note_completed(record.kind, now - record.invoked_at, now)
-            else:
-                reason = (frame or {}).get("error", "no response before deadline")
-                oplog.note_failed(pending.row, reason)
-                metrics.note_failed()
-                failures.append(f"{record_label(pending.record)}: {reason}")
+        await settle_unanswered(in_flight, settle, t0 + spec.timeout - _SHIP_MARGIN - clock.now)
     finally:
         await client.close(send_shutdown=False)
 
@@ -389,15 +379,12 @@ async def _run_loadgen_async(spec: LoadgenSpec) -> LoadgenResult:
     metric_parts: List[Dict[str, Any]] = []
     worker_transport: Dict[str, Any] = {}
     for part in sorted(parts, key=lambda p: p["worker"]):
-        worker_log, _ = decode_oplog(part["oplog_blob"], part["oplog_buffers"])
-        oplog.extend_remapped(worker_log)
+        oplog.extend_remapped(decode_oplog(part["oplog_blob"], part["oplog_buffers"]))
         metric_parts.append(part["metrics_raw"])
         worker_transport[f"client{part['worker']}"] = part["transport"]
         worker_errors.extend(part["failures"])
 
-    stats = NetworkStats()
-    stats.messages_sent = messages_total
-    metrics = merge_metrics(metric_parts, stats)
+    metrics = merge_metrics(metric_parts, messages_total)
     # The pooled window is wall time here (shared-epoch stamps), so the
     # merged "virtual" rate is really the achieved wall rate.
     metrics["wall_throughput"] = metrics.pop("virtual_throughput", None)

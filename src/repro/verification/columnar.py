@@ -3,8 +3,8 @@
 A :class:`~repro.verification.history.History` stores one ``Operation``
 object per operation — a frozen dataclass with a per-instance ``__dict__``,
 boxed floats for both timestamps and a reference for every field.  At the
-scale the ROADMAP targets (million-op open-loop runs, shard-parallel
-workers shipping whole histories over pickle) the *representation* of a
+scale the ROADMAP targets (million-op open-loop runs, load-generator
+workers shipping whole logs over pickle) the *representation* of a
 history is itself a hot path: ~300 bytes and several allocations per
 operation, and a pickle that walks the whole object graph.
 
@@ -34,8 +34,7 @@ is how this module is gated (see ``tests/verification/test_columnar.py``
 and the golden suites).
 
 Pickling a :class:`ColumnarHistory` serializes the raw columns (a handful
-of flat buffers), not an object graph — this is what makes per-key
-parallel checking (:mod:`repro.parallel.check`) cheap to fan out.
+of flat buffers), not an object graph.
 """
 
 from __future__ import annotations

@@ -620,7 +620,6 @@ def check_histories_per_key(
     swmr_fast_path: bool = True,
     max_states: Optional[int] = None,
     collect_witness: bool = False,
-    workers: int = 1,
     spec: Optional[str] = None,
 ) -> PartitionedCheckReport:
     """Check many independent per-key histories (P-compositional checking).
@@ -631,24 +630,7 @@ def check_histories_per_key(
     pruning — and everything else runs the Wing–Gong core.  Pass
     ``swmr_fast_path=False`` to force the search engine on every key (the
     checker benchmark does, to measure it).
-
-    ``workers > 1`` fans the per-key checks out over a process pool
-    (:mod:`repro.parallel`): per-key partitioning makes the problem
-    embarrassingly parallel, and the verdict for each key is computed by the
-    very same code path, so the report is identical to the serial one except
-    that parallel checking never collects witnesses (they do not pickle
-    compactly and no caller of the partitioned checker uses them).
     """
-    if workers > 1 and len(histories) > 1 and not collect_witness:
-        from repro.parallel.check import check_histories_parallel
-
-        return check_histories_parallel(
-            histories,
-            swmr_fast_path=swmr_fast_path,
-            max_states=max_states,
-            workers=workers,
-            spec=spec,
-        )
     from repro.verification.columnar import ColumnarHistory
     from repro.verification.register_checker import check_swmr_atomicity
     from repro.verification.specs import get_spec
@@ -656,8 +638,8 @@ def check_histories_per_key(
     spec_obj = get_spec(spec)
     report = PartitionedCheckReport()
     for key, history in histories.items():
-        # Columnar histories stay columnar at rest (and on the wire to pool
-        # workers), but the checkers walk operations hard — materialize one
+        # Columnar histories stay columnar at rest, but the checkers walk
+        # operations hard — materialize one
         # key's rows into plain Operation objects for the duration of its
         # check.  Peak extra memory is a single key's history, not the run's.
         if isinstance(history, ColumnarHistory):

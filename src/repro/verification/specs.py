@@ -16,8 +16,9 @@ Two specs exist:
   compare-and-swap, test-and-set and counter increment, every completed
   operation's recorded result checked against the spec's result.
 
-Specs are looked up by *name* (:func:`get_spec`) so the parallel checker
-can ship them to worker processes as a plain string.
+Specs are looked up by *name* (:func:`get_spec`) so a store config
+(:meth:`~repro.store.store.StoreConfig.effective_spec`) can name its spec
+as a plain string.
 """
 
 from __future__ import annotations

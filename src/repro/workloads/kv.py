@@ -104,13 +104,6 @@ class KVWorkloadSpec:
     seed:
         Master seed for key choice, op mix, arrival times and think
         randomness.
-    workers:
-        Shard-parallel worker processes (:mod:`repro.parallel`).  ``1``
-        (default) runs the classic single-process path; ``N > 1`` partitions
-        the shards into ``N`` disjoint groups, runs each group's subnets in
-        its own process and merges the results — per-key histories, checker
-        verdicts and metrics are bit-identical to the serial run (the
-        differential suite in ``tests/parallel/`` enforces it).
     max_events:
         Per-process event-count safety valve (``None`` = auto: the simulator
         default, scaled up for runs large enough to legitimately exceed it).
@@ -148,7 +141,6 @@ class KVWorkloadSpec:
     seed: int = 0
     initial_value: Any = "v0"
     max_virtual_time: float = 100_000.0
-    workers: int = 1
     max_events: Optional[int] = None
     #: Which backend executes the run: ``"sim"`` (virtual-time simulator,
     #: default — deterministic, supports faults/perturbation/coalescing) or
@@ -171,14 +163,10 @@ class KVWorkloadSpec:
         if self.codec not in ("binary", "json"):
             raise ValueError(f"unknown wire codec {self.codec!r}; choose binary or json")
         if self.transport == "live":
-            if self.workers != 1:
-                raise ValueError("live transport runs single-client; workers must be 1")
             if self.crash_points:
                 raise ValueError("crash_points are simulated-only; live runs cannot use them")
             if self.fault_plan is not None:
                 raise ValueError("fault plans are simulated-only; live runs cannot use them")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.num_keys < 1:
             raise ValueError("keyed workloads need at least one key")
         if self.num_ops < 0:
@@ -259,7 +247,6 @@ class KVWorkloadSpec:
             max_virtual_time=self.max_virtual_time,
             coalesce=self.coalesce,
             shard_algorithms=self.shard_algorithms,
-            workers=self.workers,
             max_events=max_events,
         )
 
@@ -286,7 +273,7 @@ def iter_kv_operations(spec: KVWorkloadSpec) -> Iterator[KVOp]:
 
     The stream is drawn one operation at a time from a fresh RNG, in exactly
     the order :func:`generate_kv_operations` materializes — runners that
-    stream (the open-loop client, the shard-parallel workers) never hold a
+    stream (the open-loop client, the closed-loop batch loop) never hold a
     million scripted operations in memory at once.
     """
     rng = make_rng(
@@ -399,13 +386,6 @@ class KVWorkloadResult:
     #: with a reason (crashed replica) still count as a clean finish; they are
     #: reported via ``failed_ops`` instead.  Never silently truncate.
     finished_cleanly: bool = True
-    #: Shard-parallel runs only: when a worker process raised, the run fails
-    #: fast (``finished_cleanly=False``) and this carries the worker's
-    #: traceback.  ``None`` for serial runs and clean parallel runs.
-    worker_failure: Optional[str] = None
-    #: Shard-parallel runs only: total worker→parent result-payload bytes
-    #: (pickle blob + out-of-band column buffers).  ``0`` for serial runs.
-    ipc_bytes: int = 0
 
     def completed_ops(self) -> list[StoreOp]:
         """Operations that completed successfully."""
@@ -517,10 +497,6 @@ def run_kv_workload(spec: KVWorkloadSpec) -> KVWorkloadResult:
     ``spec.arrival_rate`` and one drive call runs the loop until every
     arrival has fired and completed.
 
-    ``spec.workers > 1`` dispatches to the shard-parallel engine
-    (:func:`repro.parallel.engine.run_kv_workload_parallel`); ``workers=1``
-    is exactly the code below.
-
     ``spec.transport == "live"`` dispatches to the loopback socket cluster
     (:func:`repro.transport.live.run_live_workload`) and returns a
     :class:`~repro.transport.live.LiveKVResult` instead — same seeded
@@ -530,10 +506,6 @@ def run_kv_workload(spec: KVWorkloadSpec) -> KVWorkloadResult:
         from repro.transport.live import run_live_workload
 
         return run_live_workload(spec)
-    if spec.workers > 1:
-        from repro.parallel.engine import run_kv_workload_parallel
-
-        return run_kv_workload_parallel(spec)
     store = KVStore(spec.store_config())
     if spec.fault_plan is not None:
         store.install_fault_plan(spec.fault_plan)

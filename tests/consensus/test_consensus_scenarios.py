@@ -3,7 +3,7 @@
 Every consensus scenario run here must (a) finish cleanly, (b) pass the
 SMR-spec Wing–Gong checker on every key, and (c) satisfy the protocol
 agreement/validity invariants read straight off the replica processes.
-Crash and shard-parallel runs ride the same gates.
+Crash runs ride the same gates.
 """
 
 from __future__ import annotations
@@ -72,22 +72,3 @@ class TestConsensusScenarios:
             ]
 
         assert signature(run_kv_workload(spec)) == signature(run_kv_workload(spec))
-
-
-class TestConsensusParallel:
-    def test_workers_2_output_is_bit_identical_to_serial(self):
-        spec = kv_cas(num_keys=8, num_ops=160)
-        serial = run_kv_workload(spec)
-        parallel = run_kv_workload(spec.with_(workers=2))
-        assert parallel.worker_failure is None
-
-        def serialize(result):
-            histories = result.store.histories()
-            return {
-                str(key): histories[key].to_dict()
-                for key in sorted(histories, key=str)
-            }
-
-        assert serialize(serial) == serialize(parallel)
-        assert serial.total_messages() == parallel.total_messages()
-        assert parallel.check_atomicity(raise_on_violation=False).ok

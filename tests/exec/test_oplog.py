@@ -2,7 +2,7 @@
 
 The driver records every operation's lifecycle into both representations
 simultaneously (``driver.ops`` and ``driver.oplog``), so a real run is a
-free differential oracle: every LoggedOp view must agree with its ExecOp on
+free differential oracle: every OpLog row must agree with its ExecOp on
 every field, the per-key histories must serialize identically to the old
 ``History.from_records`` path, and the protocol-5 wire format must
 round-trip the whole log bit-for-bit.
@@ -13,7 +13,6 @@ import math
 import pytest
 
 from repro.exec.oplog import OpLog, decode_oplog, encode_oplog, transfer_size
-from repro.registers.base import OperationKind
 from repro.store.store import KVStore
 from repro.verification.history import History
 from repro.workloads.kv import run_kv_workload
@@ -27,35 +26,51 @@ def _specs():
     ]
 
 
-def _assert_op_parity(exec_op, logged_op):
-    assert logged_op.op_id == exec_op.op_id
-    assert logged_op.kind is exec_op.kind
-    assert logged_op.key == exec_op.key
-    assert logged_op.value == exec_op.value
-    assert logged_op.submitted_at == exec_op.submitted_at
-    assert logged_op.failed == exec_op.failed
-    assert logged_op.failure_reason == exec_op.failure_reason
-    assert logged_op.completed == exec_op.completed
-    assert logged_op.done == exec_op.done
-    assert logged_op.sojourn_latency == exec_op.sojourn_latency
-    if exec_op.record is None:
-        assert logged_op.record is None
-    else:
-        record, logged = exec_op.record, logged_op.record
-        assert logged.pid == record.pid
-        assert logged.op_id == record.op_id
-        assert logged.kind is record.kind
-        assert logged.value == record.value
-        assert logged.result == record.result
-        assert logged.invoked_at == record.invoked_at
-        assert logged.responded_at == record.responded_at
-        assert logged.completed == record.completed
-        assert logged.latency == record.latency
-    if exec_op.completed:
-        assert logged_op.result == exec_op.result
-    else:
-        with pytest.raises(RuntimeError):
-            logged_op.result
+def logged_row(log, row):
+    """One OpLog row read straight off the columns (NaN cells read as None)."""
+
+    def at(column):
+        value = column[row]
+        return None if math.isnan(value) else value
+
+    table = log.interner.values
+    issued = log._pid[row] != -1
+    result_idx = log._result_idx[row]
+    return {
+        "kind": log.kinds[log._kind[row]],
+        "key": table[log._key_idx[row]],
+        "value": table[log._value_idx[row]],
+        "submitted_at": at(log._submitted),
+        "failed": bool(log._failed[row]),
+        "failure_reason": log.reasons.get(row, ""),
+        "pid": log._pid[row] if issued else None,
+        "record_op_id": log._proc_op_id[row] if issued else None,
+        "invoked_at": at(log._invoked) if issued else None,
+        "responded_at": at(log._responded),
+        "result": None if result_idx < 0 else table[result_idx],
+    }
+
+
+def exec_row(op):
+    """The same fields off an ExecOp and its OperationRecord."""
+    record = op.record
+    return {
+        "kind": op.kind,
+        "key": op.key,
+        "value": op.value,
+        "submitted_at": op.submitted_at,
+        "failed": op.failed,
+        "failure_reason": op.failure_reason,
+        "pid": record.pid if record else None,
+        "record_op_id": record.op_id if record else None,
+        "invoked_at": record.invoked_at if record else None,
+        "responded_at": record.responded_at if record else None,
+        "result": record.result if record else None,
+    }
+
+
+def all_rows(log):
+    return [logged_row(log, row) for row in range(len(log))]
 
 
 class TestOpLogRecordsTheRun:
@@ -64,8 +79,7 @@ class TestOpLogRecordsTheRun:
         result = run_kv_workload(_specs()[spec_index])
         log = result.store.driver.oplog
         assert len(log) == len(result.ops)
-        for exec_op, logged_op in zip(result.ops, log.ops_view()):
-            _assert_op_parity(exec_op, logged_op)
+        assert all_rows(log) == [exec_row(op) for op in result.ops]
 
     def test_histories_match_the_object_path(self):
         result = run_kv_workload(_specs()[0])
@@ -89,10 +103,10 @@ class TestOpLogRecordsTheRun:
         op = store.submit_put(key, "vX")
         store.drive(limit=50.0)
         assert op.failed
-        logged = store.driver.oplog.ops_view()[op.op_id]
-        assert logged.failed
-        assert logged.failure_reason == op.failure_reason
-        assert logged.failure_reason != ""
+        logged = logged_row(store.driver.oplog, op.op_id)
+        assert logged["failed"]
+        assert logged["failure_reason"] == op.failure_reason
+        assert logged["failure_reason"] != ""
 
 
 class TestWireFormat:
@@ -103,59 +117,22 @@ class TestWireFormat:
         assert transfer_size(blob, buffers) == len(blob) + sum(len(b) for b in buffers)
         # Columns cross out-of-band: the pickle stream itself stays small.
         assert buffers, "columns should be serialized out-of-band"
-        decoded, global_index = decode_oplog(blob, buffers)
-        assert global_index is None
+        decoded = decode_oplog(blob, buffers)
         assert len(decoded) == len(log)
-        for original, restored in zip(log.ops_view(), decoded.ops_view()):
-            _assert_op_parity(original, restored)
+        assert all_rows(decoded) == all_rows(log)
         assert decoded.reasons == log.reasons
         histories = {k: h.to_dict() for k, h in log.per_key_histories("v0").items()}
         assert {k: h.to_dict() for k, h in decoded.per_key_histories("v0").items()} == histories
 
-    def test_global_index_rides_along(self):
-        from array import array
-
-        log = OpLog()
-        log.note_created(OperationKind.READ, "k", None)
-        log.note_created(OperationKind.WRITE, "k", "v")
-        blob, buffers = encode_oplog(log, array("q", [7, 3]))
-        _decoded, global_index = decode_oplog(blob, buffers)
-        assert list(global_index) == [7, 3]
-
 
 class TestMergeReassembly:
-    def test_extend_remapped_and_reordered_reproduce_the_whole_log(self):
-        # Split one serial run's log into odd/even rows, merge the halves
-        # back, and permute into original order — every field must survive.
-        result = run_kv_workload(_specs()[0])
-        log = result.store.driver.oplog
-        halves = []
-        index_halves = []
-        for parity in (0, 1):
-            rows = [r for r in range(len(log)) if r % 2 == parity]
-            part = log.reordered(rows)
-            blob, buffers = encode_oplog(part)
-            halves.append(decode_oplog(blob, buffers)[0])
-            index_halves.append(rows)
+    def test_extend_remapped_concatenates_decoded_logs(self):
+        # The load generator's merge: every worker's log crosses the wire
+        # encoded and is appended with its own value table re-interned.
+        logs = [run_kv_workload(spec).store.driver.oplog for spec in _specs()]
         merged = OpLog()
-        scripted = []
-        for part, rows in zip(halves, index_halves):
-            merged.extend_remapped(part)
-            scripted.extend(rows)
-        order = sorted(range(len(scripted)), key=scripted.__getitem__)
-        restored = merged.reordered(order)
-        for original, rebuilt in zip(log.ops_view(), restored.ops_view()):
-            _assert_op_parity(original, rebuilt)
-        assert {k: h.to_dict() for k, h in restored.per_key_histories("v0").items()} == {
-            k: h.to_dict() for k, h in log.per_key_histories("v0").items()
-        }
-
-    def test_parallel_merged_ops_match_serial_exec_ops(self):
-        spec = kv_uniform(num_keys=12, num_ops=120, seed=24)
-        serial = run_kv_workload(spec)
-        parallel = run_kv_workload(spec.with_(workers=2))
-        assert parallel.ipc_bytes > 0
-        assert serial.ipc_bytes == 0
-        assert len(parallel.ops) == len(serial.ops)
-        for exec_op, logged_op in zip(serial.ops, parallel.ops):
-            _assert_op_parity(exec_op, logged_op)
+        bases = []
+        for log in logs:
+            bases.append(merged.extend_remapped(decode_oplog(*encode_oplog(log))))
+        assert bases == [0, len(logs[0])]
+        assert all_rows(merged) == all_rows(logs[0]) + all_rows(logs[1])

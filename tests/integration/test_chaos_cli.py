@@ -62,3 +62,11 @@ class TestChaosCli:
         a = (tmp_path / "a" / "BENCH_chaos.json").read_text()
         b = (tmp_path / "b" / "BENCH_chaos.json").read_text()
         assert a == b
+
+    def test_worker_pool_payload_matches_serial(self, capsys, tmp_path):
+        args = ["chaos", "--quick", "--seeds", "1", "--out-dir"]
+        assert main(args + [str(tmp_path / "serial")]) == 0
+        assert main(args + [str(tmp_path / "pool"), "--workers", "2"]) == 0
+        assert (tmp_path / "pool" / "BENCH_chaos.json").read_bytes() == (
+            tmp_path / "serial" / "BENCH_chaos.json"
+        ).read_bytes()

@@ -28,15 +28,6 @@ class TestConsensusCli:
         assert "mmr-cas-localcoin" in out
         assert "agreement/validity invariants | hold" in out
 
-    def test_workers_2_run_skips_invariants_but_still_checks(self, capsys):
-        code = main(["consensus", "--workers", "2"])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "per-key SMR-linearizable      | yes" in out
-        # Merged parallel views carry no live processes: the command says
-        # so instead of claiming a vacuous invariant pass.
-        assert "n/a (no process access)" in out
-
     def test_output_is_deterministic(self, capsys):
         assert main(["consensus", "--ops", "60"]) == 0
         first = capsys.readouterr().out

@@ -101,8 +101,7 @@ class TestLiveTransportCli:
         assert "/ 5" in out  # keys / shards / replication row
 
     def test_sim_only_flags_rejected_on_live(self, capsys):
-        for flag in (["--crashes", "1"], ["--no-coalesce"], ["--workers", "2"],
-                     ["--algorithms", "abd,two-bit"]):
+        for flag in (["--crashes", "1"], ["--no-coalesce"], ["--algorithms", "abd,two-bit"]):
             code = main(["store", "--transport", "live", "--ops", "10"] + flag)
             assert code == 2
             assert "simulated-only" in capsys.readouterr().err

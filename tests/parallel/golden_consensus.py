@@ -4,11 +4,10 @@
 scenarios (``kv_cas``, ``consensus_smoke``) the same way
 ``golden_parallel.json`` pins the register scenarios: per-key histories
 (operation kinds, values, recorded results, timestamps), message totals,
-makespans and clean-finish flags.  The committed data was generated from
-**serial** (``workers=1``) runs, so the one file asserts both that serial
-consensus output never drifts and that ``--workers 2`` merged output stays
-byte-identical to it.  The register goldens are untouched by design — a
-consensus-layer change must never move them.
+makespans and clean-finish flags.  The data was generated by
+single-process runs (the ``-w2`` case names are historical).  The register
+goldens are untouched by design — a consensus-layer change must never move
+them.
 
 Regenerate (only if the spec matrix itself changes, never to paper over a
 history drift):
@@ -28,11 +27,11 @@ from repro.workloads.scenarios import consensus_smoke, kv_cas
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_consensus.json")
 
 
-def golden_cases() -> dict[str, tuple[KVWorkloadSpec, int]]:
-    """The spec matrix (name -> (spec, worker count for the parallel replay))."""
+def golden_cases() -> dict[str, KVWorkloadSpec]:
+    """The spec matrix (name -> spec)."""
     return {
-        "kv-cas-w2": (kv_cas(num_keys=8, num_ops=160, num_shards=4), 2),
-        "consensus-smoke-w2": (consensus_smoke(), 2),
+        "kv-cas-w2": kv_cas(num_keys=8, num_ops=160, num_shards=4),
+        "consensus-smoke-w2": consensus_smoke(),
     }
 
 
@@ -52,7 +51,7 @@ def serialize_result(result) -> dict[str, Any]:
 def regenerate() -> None:
     golden = {
         name: serialize_result(run_kv_workload(spec))
-        for name, (spec, _workers) in sorted(golden_cases().items())
+        for name, spec in sorted(golden_cases().items())
     }
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True, allow_nan=False) + "\n")
     print(f"wrote {GOLDEN_PATH}")

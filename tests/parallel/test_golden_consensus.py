@@ -1,10 +1,9 @@
-"""Consensus output vs the committed golden reference (serial and merged).
+"""Consensus output vs the committed golden reference, case by case.
 
-``golden_consensus.json`` was generated by **serial** runs of the consensus
-spec matrix (see ``golden_consensus.py``), closing the same triangle the
-register goldens close: committed reference == workers=1 output == merged
-workers=N output — now for histories containing cas/tas results decided by
-MMR binary consensus.
+``golden_consensus.json`` was generated by single-process runs of the
+consensus spec matrix (see ``golden_consensus.py``); every case must still
+reproduce it exactly — histories containing cas/tas results decided by MMR
+binary consensus included.
 """
 
 import json
@@ -25,15 +24,7 @@ def normalized(result) -> dict:
 class TestGoldenConsensus:
     @pytest.mark.parametrize("name", sorted(golden_cases()))
     def test_serial_output_matches_committed_golden(self, name):
-        spec, _workers = golden_cases()[name]
-        assert normalized(run_kv_workload(spec)) == GOLDEN[name]
-
-    @pytest.mark.parametrize("name", sorted(golden_cases()))
-    def test_merged_parallel_output_matches_committed_golden(self, name):
-        spec, workers = golden_cases()[name]
-        result = run_kv_workload(spec.with_(workers=workers))
-        assert result.worker_failure is None
-        assert normalized(result) == GOLDEN[name]
+        assert normalized(run_kv_workload(golden_cases()[name])) == GOLDEN[name]
 
     def test_golden_file_covers_the_case_matrix(self):
         assert sorted(GOLDEN) == sorted(golden_cases())

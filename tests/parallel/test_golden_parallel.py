@@ -1,10 +1,9 @@
-"""Merged multi-worker output vs the committed golden reference.
+"""Store output vs the committed golden reference, case by case.
 
-``golden_parallel.json`` was generated by **serial** runs of the spec matrix
-(see ``golden_parallel.py``), so these tests close the triangle: committed
-reference == workers=1 output == merged workers=N output.  A drift on the
-serial side is a determinism regression; a drift on the parallel side is a
-merge bug — either way the diff points at the key and operation.
+``golden_parallel.json`` was generated by single-process runs of the spec
+matrix (see ``golden_parallel.py``); every case must still reproduce it
+exactly.  A drift is a determinism regression, and the diff points at the
+key and operation.
 """
 
 import json
@@ -19,19 +18,8 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 class TestGoldenParallel:
     @pytest.mark.parametrize("name", sorted(golden_cases()))
-    def test_merged_parallel_output_matches_committed_golden(self, name):
-        spec, workers = golden_cases()[name]
-        result = run_kv_workload(spec.with_(workers=workers))
-        assert result.worker_failure is None
-        assert serialize_result(result) == GOLDEN[name]
-
-    @pytest.mark.parametrize("name", ["kv-uniform-w2", "kv-openloop-w2"])
     def test_serial_output_matches_committed_golden(self, name):
-        # The golden file was generated serially; spot-check that the serial
-        # path itself has not drifted (the full serial matrix is already
-        # covered by tests/workloads).
-        spec, _workers = golden_cases()[name]
-        assert serialize_result(run_kv_workload(spec)) == GOLDEN[name]
+        assert serialize_result(run_kv_workload(golden_cases()[name])) == GOLDEN[name]
 
     def test_golden_file_covers_the_case_matrix(self):
         assert sorted(GOLDEN) == sorted(golden_cases())

@@ -4,8 +4,8 @@ import pytest
 
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.network import Network, Subnet
-from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
+from repro.transport.runtime import ProcessBase as Process
 
 
 class Recorder(Process):

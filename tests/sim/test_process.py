@@ -3,8 +3,8 @@
 import pytest
 
 from repro.sim.network import Network
-from repro.sim.process import Process, ProcessCrashedError
 from repro.sim.scheduler import Simulator
+from repro.transport.runtime import ProcessBase as Process, ProcessCrashedError
 
 from tests.sim.conftest import RecorderProcess, build_recorders
 

@@ -41,6 +41,18 @@ class TestLiveLoopbackRun:
         assert result.completed == 40
         assert result.check_linearizability().ok
 
+    def test_open_loop_replies_are_stamped_on_arrival(self):
+        # The schedule spans ~0.75 s and replies take milliseconds: a reply
+        # stamped on arrival lands before the last invocation, while one
+        # stamped after the schedule has fired never can.
+        result = run_kv_workload(
+            live_spec(num_ops=300).with_(arrival="poisson", arrival_rate=400.0)
+        )
+        assert result.finished_cleanly
+        ops = [op for history in result.histories().values() for op in history.operations]
+        assert len(ops) == 300
+        assert min(op.responded_at for op in ops) < max(op.invoked_at for op in ops)
+
 
 class TestCrossBackendEquivalence:
     def test_sim_and_live_execute_the_identical_operation_set(self):

@@ -66,6 +66,16 @@ class TestLoadgenSmoke:
         assert report.ok
         assert report.keys_checked == len(result.histories())
 
+    def test_replies_are_stamped_on_arrival(self, result):
+        # Each worker's schedule spans ~0.5 s; an op answered in
+        # milliseconds must carry that reply time, not the end of its
+        # worker's schedule.  Session pids are worker + clients * n.
+        clients = result.spec.clients
+        ops = [op for history in result.histories().values() for op in history.operations]
+        for worker in range(clients):
+            mine = [op for op in ops if op.pid % clients == worker]
+            assert min(op.responded_at for op in mine) < max(op.invoked_at for op in mine)
+
     def test_open_loop_ops_are_one_session_each(self, result):
         """Regression: open-loop ops must NOT share checker pids.
 

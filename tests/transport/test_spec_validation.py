@@ -20,10 +20,6 @@ class TestSpecTransportField:
         spec = kv_uniform(num_keys=4, num_ops=10).with_(transport="live")
         assert spec.store_config().transport == "live"
 
-    def test_live_rejects_parallel_workers(self):
-        with pytest.raises(ValueError, match="single-client"):
-            kv_uniform(num_keys=4, num_ops=10).with_(transport="live", workers=4)
-
     def test_live_rejects_crash_points(self):
         from repro.workloads.kv import CrashPoint
 
