@@ -160,3 +160,14 @@ class TestMixedAndCoalescingCli:
         assert main(["store", "--ops", "40", "--keys", "4", "--algorithms", "two-bit"]) == 0
         out = capsys.readouterr().out
         assert "message coalescing" in out
+
+
+class TestSerialOnlyCommands:
+    """Store, bench and consensus runs have one code path: no worker option."""
+
+    @pytest.mark.parametrize("command", ["store", "bench", "consensus"])
+    def test_workers_flag_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err

@@ -4,6 +4,9 @@
 consensus spec matrix (see ``golden_consensus.py``); every case must still
 reproduce it exactly — histories containing cas/tas results decided by MMR
 binary consensus included.
+
+The committed histories must also pass the checker themselves, so the
+reference can never pin a violation.
 """
 
 import json
@@ -11,6 +14,8 @@ import json
 import pytest
 
 from golden_consensus import GOLDEN_PATH, golden_cases, serialize_result
+from repro.verification.history import History
+from repro.verification.linearizability import check_histories_per_key
 from repro.workloads.kv import run_kv_workload
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -34,3 +39,12 @@ class TestGoldenConsensus:
             assert entry["finished_cleanly"], name
             assert entry["failed"] == 0, name
             assert entry["completed"] > 0, name
+
+    @pytest.mark.parametrize("name", sorted(golden_cases()))
+    def test_committed_histories_are_linearizable(self, name):
+        histories = {
+            key: History.from_dict(payload) for key, payload in GOLDEN[name]["histories"].items()
+        }
+        report = check_histories_per_key(histories, spec="smr")
+        assert report.ok, report.violations()
+        assert report.keys_checked == len(GOLDEN[name]["histories"]) > 0

@@ -7,6 +7,8 @@ caller gets a :class:`WorkerFailure`, never a hang.
 """
 
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -59,3 +61,47 @@ class TestRunChunked:
         with pytest.raises(WorkerFailure, match="died"):
             run_chunked(_exit_abruptly, list(range(4)), 2)
         assert time.monotonic() - started < 60.0
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_empty_input_returns_empty_list(self, workers):
+        assert run_chunked(_square, [], workers) == []
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_worker_counts_map_in_process(self, workers):
+        assert run_chunked(_pid, [0, 1, 2], workers) == [os.getpid()] * 3
+
+    def test_single_item_never_spawns(self):
+        assert run_chunked(_pid, [0], 4) == [os.getpid()]
+
+    def test_uneven_split_matches_the_serial_map(self):
+        items = list(range(11))
+        assert run_chunked(_square, items, 3) == run_chunked(_square, items, 1)
+
+
+class TestWorkerFailure:
+    def test_message_without_traceback_is_left_as_is(self):
+        failure = WorkerFailure("a pool worker died: boom")
+        assert str(failure) == "a pool worker died: boom"
+        assert failure.traceback_text == ""
+
+    def test_traceback_is_appended_to_the_message(self):
+        failure = WorkerFailure("a pool worker raised", traceback_text="Traceback ...\n")
+        assert str(failure) == "a pool worker raised\n--- worker traceback ---\nTraceback ..."
+
+
+def test_importing_repro_loads_no_pool_machinery():
+    # The fan-out is imported lazily: plain store runs pay for no pool.
+    probe = (
+        "import sys, repro\n"
+        "loaded = [name for name in sys.modules\n"
+        "          if name == 'repro.parallel' or name.split('.')[0] in\n"
+        "          ('multiprocessing', 'concurrent')]\n"
+        "print(','.join(sorted(loaded)))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.abspath(src), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out.strip() == ""
