@@ -534,6 +534,21 @@ class ColumnarHistory:
             key=lambda view: view.invoked_at,
         )
 
+    def timestamps(self) -> Tuple[List[Any], List[Any]]:
+        """Every row's ``(invoked_at, responded_at)``, as two lists.
+
+        Column-wise reads of what :attr:`OpView.invoked_at` and
+        :attr:`OpView.responded_at` return: exact overrides applied and
+        ``None`` for a pending response.
+        """
+        invoked = self._invoked.tolist()
+        for row, at in self._invoked_exact.items():
+            invoked[row] = at
+        responded = [None if at != at else at for at in self._responded]  # NaN = pending
+        for row, at in self._responded_exact.items():
+            responded[row] = at
+        return invoked, responded
+
     def writer_pids(self) -> set:
         return {view.pid for view in self.operations if view.is_write}
 

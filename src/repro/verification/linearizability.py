@@ -45,9 +45,11 @@ For multi-key histories, :func:`check_histories_per_key` exploits
 independent objects is linearizable iff each per-object subhistory is, so a
 5 000-operation store run decomposes into per-key problems whose
 concurrency windows are small.  Keys that are single-writer with distinct
-written values take the ``O(n log n)`` Lemma-10 claims checker of
+hashable written values take the ``O(n log n)`` Lemma-10 claims checker of
 :mod:`repro.verification.register_checker` as a fast path (the cheap
-register-specific pruning); everything else runs the Wing–Gong core.
+register-specific pruning), which reads a columnar history's columns in
+place; everything else runs the Wing–Gong core, and only those keys are
+materialized as ``Operation`` objects.
 
 Pending operations are handled per the linearizability definition: a
 pending **write** may be linearized (it might have taken effect) or
@@ -599,22 +601,6 @@ class PartitionedCheckReport:
         return messages
 
 
-def _swmr_fast_path_applies(history: History) -> bool:
-    """True when the Lemma-10 claims checker is a complete verdict for ``history``."""
-    if len(history.writer_pids()) > 1:
-        return False
-    if not history.written_values_distinct():
-        return False
-    try:
-        hash(history.initial_value)
-        for op in history.operations:
-            if op.is_write:
-                hash(op.value)  # the claims checker indexes values by hash
-    except TypeError:
-        return False
-    return True
-
-
 def check_histories_per_key(
     histories: Mapping[Any, History],
     swmr_fast_path: bool = True,
@@ -624,48 +610,50 @@ def check_histories_per_key(
 ) -> PartitionedCheckReport:
     """Check many independent per-key histories (P-compositional checking).
 
-    Keys whose history is single-writer with distinct written values are
-    (by default) verified with the ``O(n log n)`` claims checker of
+    Keys whose history is single-writer with distinct hashable written
+    values are (by default) verified with the ``O(n log n)`` claims checker of
     :mod:`repro.verification.register_checker` — the cheap register-specific
     pruning — and everything else runs the Wing–Gong core.  Pass
     ``swmr_fast_path=False`` to force the search engine on every key (the
     checker benchmark does, to measure it).
     """
     from repro.verification.columnar import ColumnarHistory
-    from repro.verification.register_checker import check_swmr_atomicity
+    from repro.verification.register_checker import _check_columns
     from repro.verification.specs import get_spec
 
     spec_obj = get_spec(spec)
     report = PartitionedCheckReport()
     for key, history in histories.items():
-        # Columnar histories stay columnar at rest, but the checkers walk
-        # operations hard — materialize one
-        # key's rows into plain Operation objects for the duration of its
-        # check.  Peak extra memory is a single key's history, not the run's.
-        if isinstance(history, ColumnarHistory):
-            history = history.to_history()
-        if spec_obj is not None:
-            # Non-register specs always run the (spec-parametric) search
-            # core; the SWMR claims fast path is register-only.
-            report.per_key[key] = check_linearizability(
-                history,
-                collect_witness=collect_witness,
-                max_states=max_states,
-                spec=spec_obj,
+        # The claims checker reads a columnar history's columns in place;
+        # strict=False makes it return None for a key it does not decide.
+        # Non-register specs always run the (spec-parametric) search core.
+        claims = None
+        if spec_obj is None and swmr_fast_path:
+            columns = (
+                history
+                if isinstance(history, ColumnarHistory)
+                else ColumnarHistory.from_history(history)
             )
-        elif swmr_fast_path and _swmr_fast_path_applies(history):
-            claims = check_swmr_atomicity(history, raise_on_violation=False)
-            completed, pending_writes = _relevant_operations(history)
+            claims = _check_columns(columns, strict=False)
+        if claims is not None:
             report.per_key[key] = CheckResult(
                 linearizable=claims.ok,
-                operations=len(completed) + len(pending_writes),
+                operations=claims.reads_checked + claims.writes_checked,
                 method="swmr-claims",
                 violations=list(claims.violations),
             )
-        else:
-            report.per_key[key] = check_linearizability(
-                history, collect_witness=collect_witness, max_states=max_states
-            )
+            continue
+        # The search walks operations hard: materialize one key's rows into
+        # plain Operation objects for the duration of its check.  Peak extra
+        # memory is a single key's history, not the run's.
+        if isinstance(history, ColumnarHistory):
+            history = history.to_history()
+        report.per_key[key] = check_linearizability(
+            history,
+            collect_witness=collect_witness,
+            max_states=max_states,
+            spec=spec_obj,
+        )
     return report
 
 

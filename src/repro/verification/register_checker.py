@@ -17,27 +17,39 @@ program order) these claims, together with every read returning either the
 initial value or some written value, are equivalent to atomicity — which is
 precisely why the paper's proof stops there.  This module checks them
 directly on a recorded history in ``O((R + W) log(R + W))`` time, where R/W
-are the numbers of reads/writes.  The general (exponential) checker in
+are the numbers of reads/writes: every claim, and the program-order
+refinements, is a prefix maximum over one sorted sequence queried by
+bisection.  The general (exponential) checker in
 :mod:`repro.verification.linearizability` is used in property-based tests to
 cross-validate this one on small histories.
+
+The checker reads the columns of a
+:class:`~repro.verification.columnar.ColumnarHistory` directly (pids, kind
+bytes, timestamps and interned value indices) and builds ``OpView`` rows
+only to describe the violating operations.  An object-based
+:class:`~repro.verification.history.History` is converted to columns once,
+so both representations produce the same report, message for message.
 
 Requirements on the history (enforced, with clear errors):
 
 * at most one writer process (pending writes included);
-* written values pairwise distinct and different from the initial value, so a
-  read's return value identifies the write it read from (the workload
-  generator guarantees this by construction);
+* written values pairwise distinct (under ``==``) and different from the
+  initial value, so a read's return value identifies the write it read from
+  (the workload generator guarantees this by construction);
 * pending operations are allowed: a pending write may or may not have taken
   effect (it only ever *relaxes* Claim 2), and pending reads are ignored.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from itertools import accumulate
+from operator import itemgetter
+from typing import Any, Optional, Union
 
-from repro.verification.history import History, Operation
+from repro.verification.columnar import _READ, _WRITE, ColumnarHistory, OpView
+from repro.verification.history import History
 
 
 class AtomicityViolation(AssertionError):
@@ -55,7 +67,8 @@ class AtomicityReport:
     violations:
         Human-readable description of each violation found.
     reads_checked / writes_checked:
-        Sizes of the checked history (completed operations only).
+        Sizes of the checked history (completed reads; all writes, pending
+        ones included).
     max_read_lag:
         Over all completed reads, the largest difference between the newest
         write index the read *could* have returned (writes invoked before the
@@ -75,189 +88,219 @@ class AtomicityReport:
         self.violations.append(message)
 
 
-def _index_reads(history: History) -> tuple[list[Operation], dict[Any, int]]:
-    """Return (writes in writer order, value -> sequence-number map)."""
-    writes = history.writes(include_pending=True)
-    writer_pids = history.writer_pids()
-    if len(writer_pids) > 1:
-        raise ValueError(
-            f"history has {len(writer_pids)} writers ({sorted(writer_pids)}); "
-            "the fast checker only handles single-writer histories — "
-            "use verification.linearizability.is_linearizable instead"
-        )
-    value_to_index: dict[Any, int] = {}
-    try:
-        value_to_index[history.initial_value] = 0
-    except TypeError as exc:  # unhashable initial value
-        raise ValueError("initial value must be hashable for the fast checker") from exc
-    for index, write in enumerate(writes, start=1):
-        if write.value in value_to_index:
-            raise ValueError(
-                f"written value {write.value!r} is not unique in the history; "
-                "the fast checker requires distinct written values — "
-                "use verification.linearizability.is_linearizable instead"
-            )
-        value_to_index[write.value] = index
-    return writes, value_to_index
-
-
 def check_swmr_atomicity(
-    history: History,
-    raise_on_violation: bool = True,
+    history: Union[History, ColumnarHistory], raise_on_violation: bool = True
 ) -> AtomicityReport:
     """Check a single-writer history against the three claims of Lemma 10.
 
     Returns an :class:`AtomicityReport`; if ``raise_on_violation`` is true the
     first collected set of violations is raised as :class:`AtomicityViolation`
     (with every violation listed in the message).
+
+    A history the claims do not decide — more than one writer, an
+    unhashable initial or written value, written values that are not
+    pairwise distinct — raises ``ValueError`` (``TypeError`` for an
+    unhashable written value).
     """
-    report = AtomicityReport()
-    writes, value_to_index = _index_reads(history)
-    completed_reads = history.reads(include_pending=False)
-    report.reads_checked = len(completed_reads)
-    report.writes_checked = len(writes)
-
-    # Pre-compute, for Claim 2: completed writes sorted by response time, with
-    # a running maximum of their indices.  For a read invoked at time T the
-    # strongest lower bound is the largest index among writes responded
-    # strictly before T.  (With a single sequential writer indices increase
-    # with response time, but we do not rely on that.)
-    completed_writes = [(w.responded_at, idx) for idx, w in enumerate(writes, start=1) if not w.pending]
-    completed_writes.sort(key=lambda pair: pair[0])
-    write_response_times = [pair[0] for pair in completed_writes]
-    prefix_max_index: list[int] = []
-    running = 0
-    for _time, idx in completed_writes:
-        running = max(running, idx)
-        prefix_max_index.append(running)
-
-    def min_index_for_read(read: Operation) -> int:
-        """Largest index among writes that responded strictly before the read was invoked."""
-        position = bisect.bisect_left(write_response_times, read.invoked_at)
-        if position == 0:
-            return 0
-        return prefix_max_index[position - 1]
-
-    # For Claim 1 and the staleness metric: writes sorted by invocation time.
-    writes_by_invocation = sorted(
-        ((w.invoked_at, idx) for idx, w in enumerate(writes, start=1)), key=lambda pair: pair[0]
-    )
-    write_invocation_times = [pair[0] for pair in writes_by_invocation]
-    prefix_max_invoked: list[int] = []
-    running = 0
-    for _time, idx in writes_by_invocation:
-        running = max(running, idx)
-        prefix_max_invoked.append(running)
-
-    def max_started_index(time: float) -> int:
-        """Largest write index whose invocation is <= ``time``."""
-        position = bisect.bisect_right(write_invocation_times, time)
-        if position == 0:
-            return 0
-        return prefix_max_invoked[position - 1]
-
-    # --- map each completed read to the index of the value it returned -------
-    read_indices: list[tuple[Operation, int]] = []
-    for read in completed_reads:
-        if read.result not in value_to_index:
-            report.record(
-                f"read returned a value that was never written: {read.describe()} "
-                f"(known values: initial {history.initial_value!r} plus {len(writes)} writes)"
-            )
-            continue
-        read_indices.append((read, value_to_index[read.result]))
-
-    # --- Claim 1: no read from the future ------------------------------------
-    for read, index in read_indices:
-        if index == 0:
-            continue
-        write = writes[index - 1]
-        if read.responded_at is not None and read.responded_at < write.invoked_at:
-            report.record(
-                "Claim 1 (read from the future): "
-                f"{read.describe()} returned the value of {write.describe()}, "
-                "which was written only after the read had already terminated"
-            )
-
-    # --- Claim 2: no overwritten read -----------------------------------------
-    for read, index in read_indices:
-        lower_bound = min_index_for_read(read)
-        if index < lower_bound:
-            overwritten = writes[lower_bound - 1]
-            report.record(
-                "Claim 2 (overwritten value): "
-                f"{read.describe()} returned write #{index} although {overwritten.describe()} "
-                f"(write #{lower_bound}) had already completed before the read started"
-            )
-        newest_possible = max_started_index(read.responded_at if read.responded_at is not None else read.invoked_at)
-        report.max_read_lag = max(report.max_read_lag, newest_possible - index)
-
-    # --- Program-order refinements --------------------------------------------
-    # Real-time precedence uses strict inequalities; for two operations of the
-    # *same* sequential process whose boundary times coincide (zero think
-    # time), program order still applies.  Two extra checks cover that:
-    #   (a) a read by the writer must not return a value older than the
-    #       writer's own latest write invoked before the read;
-    #   (b) successive reads by the same process must return non-decreasing
-    #       indices.
-    writer_pid = writes[0].pid if writes else None
-    if writer_pid is not None:
-        writer_reads = [(read, index) for read, index in read_indices if read.pid == writer_pid]
-        for read, index in writer_reads:
-            own_preceding = [
-                idx
-                for idx, write in enumerate(writes, start=1)
-                if write.responded_at is not None and write.invoked_at < read.invoked_at
-            ]
-            if own_preceding and index < max(own_preceding):
-                report.record(
-                    "program order (writer): "
-                    f"{read.describe()} returned write #{index} although the writer itself had "
-                    f"already completed write #{max(own_preceding)} before invoking the read"
-                )
-    by_reader: dict[int, list[tuple[Operation, int]]] = {}
-    for read, index in read_indices:
-        by_reader.setdefault(read.pid, []).append((read, index))
-    for pid, items in by_reader.items():
-        items.sort(key=lambda pair: (pair[0].invoked_at, pair[0].op_id))
-        best_so_far = 0
-        for read, index in items:
-            if index < best_so_far:
-                report.record(
-                    "program order (reader): "
-                    f"{read.describe()} returned write #{index} although an earlier read by the "
-                    f"same process p{pid} had already returned write #{best_so_far}"
-                )
-            best_so_far = max(best_so_far, index)
-
-    # --- Claim 3: no new/old inversion ----------------------------------------
-    # For each read, the indices of reads that *responded* strictly before its
-    # invocation must not exceed its own index.
-    reads_by_response = sorted(
-        ((read.responded_at, index) for read, index in read_indices), key=lambda pair: pair[0]
-    )
-    response_times = [pair[0] for pair in reads_by_response]
-    prefix_max_read_index: list[int] = []
-    running = 0
-    for _time, idx in reads_by_response:
-        running = max(running, idx)
-        prefix_max_read_index.append(running)
-
-    for read, index in read_indices:
-        position = bisect.bisect_left(response_times, read.invoked_at)
-        if position == 0:
-            continue
-        earlier_max = prefix_max_read_index[position - 1]
-        if earlier_max > index:
-            report.record(
-                "Claim 3 (new/old inversion): "
-                f"{read.describe()} returned write #{index} although an earlier read that had "
-                f"already terminated before it started returned write #{earlier_max}"
-            )
-
+    if not isinstance(history, ColumnarHistory):
+        history = ColumnarHistory.from_history(history)
+    report = _check_columns(history, strict=True)
+    assert report is not None  # strict mode raises rather than returning None
     if not report.ok and raise_on_violation:
         raise AtomicityViolation(
             f"{len(report.violations)} atomicity violation(s):\n  - "
             + "\n  - ".join(report.violations)
         )
+    return report
+
+
+def _check_columns(history: ColumnarHistory, strict: bool) -> Optional[AtomicityReport]:
+    """The claims, computed straight from ``history``'s columns.
+
+    With ``strict=False`` a history the claims do not decide (see
+    :func:`check_swmr_atomicity`), or one holding operations other than
+    reads and writes, returns ``None`` instead of raising: the per-key
+    checker uses that to route it to the Wing–Gong search.
+    """
+    kinds = history._kind
+    pids = history._pid
+    table = history._table
+    invoked, responded = history.timestamps()
+
+    # --- scope: who writes what, and which reads completed --------------------
+    write_rows: list[int] = []
+    read_rows: list[int] = []
+    for row, kind in enumerate(kinds):
+        if kind == _WRITE:
+            write_rows.append(row)
+        elif kind == _READ:
+            if responded[row] is not None:
+                read_rows.append(row)
+        elif not strict:
+            return None
+    writer_pids = {pids[row] for row in write_rows}
+    if len(writer_pids) > 1:
+        if not strict:
+            return None
+        raise ValueError(
+            f"history has {len(writer_pids)} writers ({sorted(writer_pids)}); "
+            "the fast checker only handles single-writer histories — "
+            "use verification.linearizability.is_linearizable instead"
+        )
+    # Writes in the writer's program order (invocation time, ties by row);
+    # a write's sequence number is its position in this order, from 1.
+    write_rows.sort(key=invoked.__getitem__)
+    try:
+        seq_of_value: dict[Any, int] = {history.initial_value: 0}
+    except TypeError as exc:  # unhashable initial value
+        if not strict:
+            return None
+        raise ValueError("initial value must be hashable for the fast checker") from exc
+    value_idx = history._value_idx
+    for seq, row in enumerate(write_rows, start=1):
+        value = table[value_idx[row]]
+        try:
+            duplicate = value in seq_of_value
+        except TypeError:  # unhashable written value
+            if not strict:
+                return None
+            raise
+        if duplicate:
+            if not strict:
+                return None
+            raise ValueError(
+                f"written value {value!r} is not unique in the history; "
+                "the fast checker requires distinct written values — "
+                "use verification.linearizability.is_linearizable instead"
+            )
+        seq_of_value[value] = seq
+
+    report = AtomicityReport(reads_checked=len(read_rows), writes_checked=len(write_rows))
+
+    def describe(row: int) -> str:
+        return OpView(history, row).describe()
+
+    # --- map each completed read to the index of the value it returned -------
+    # Equality, not the intern slot, decides which write a result names: the
+    # table keeps ``1`` and ``1.0`` apart, the claims do not.
+    result_idx = history._result_idx
+    reads: list[tuple[int, int]] = []
+    for row in read_rows:
+        seq = seq_of_value.get(table[result_idx[row]])
+        if seq is None:
+            report.record(
+                f"read returned a value that was never written: {describe(row)} "
+                f"(known values: initial {history.initial_value!r} plus {len(write_rows)} writes)"
+            )
+        else:
+            reads.append((row, seq))
+
+    # --- sorted sequences with prefix maxima, one per bound ------------------
+    # Claim 1 and the staleness metric: writes by invocation time.  Their
+    # sequence numbers are their positions, so "newest write invoked at or
+    # before T" is a bisect_right.
+    write_invoked = [invoked[row] for row in write_rows]
+    # Claim 2: completed writes by response time, with a running maximum of
+    # their sequence numbers.  (With a single sequential writer sequence
+    # numbers increase with response time, but we do not rely on that.)
+    by_response = sorted(
+        ((responded[row], seq) for seq, row in enumerate(write_rows, start=1) if responded[row] is not None),
+        key=itemgetter(0),
+    )
+    done_responded = [at for at, _seq in by_response]
+    done_max = list(accumulate((seq for _at, seq in by_response), max))
+    # Writer program order: the newest completed write among the first k
+    # writes by invocation time, for every k.
+    newest_done = list(
+        accumulate(
+            (seq if responded[row] is not None else 0 for seq, row in enumerate(write_rows, start=1)),
+            max,
+            initial=0,
+        )
+    )
+    # Claim 3: mapped reads by response time, with a running maximum.
+    reads_by_response = sorted(reads, key=lambda item: responded[item[0]])
+    read_responded = [responded[row] for row, _seq in reads_by_response]
+    read_max = list(accumulate((seq for _row, seq in reads_by_response), max))
+
+    # --- one pass over the reads ----------------------------------------------
+    claim1: list[str] = []
+    claim2: list[str] = []
+    writer_order: list[str] = []
+    claim3: list[str] = []
+    writer_pid = pids[write_rows[0]] if write_rows else None
+    max_lag = 0
+    for row, seq in reads:
+        started = invoked[row]
+        ended = responded[row]
+        if seq and ended < write_invoked[seq - 1]:
+            claim1.append(
+                "Claim 1 (read from the future): "
+                f"{describe(row)} returned the value of {describe(write_rows[seq - 1])}, "
+                "which was written only after the read had already terminated"
+            )
+        position = bisect_left(done_responded, started)
+        lower_bound = done_max[position - 1] if position else 0
+        if seq < lower_bound:
+            claim2.append(
+                "Claim 2 (overwritten value): "
+                f"{describe(row)} returned write #{seq} although "
+                f"{describe(write_rows[lower_bound - 1])} "
+                f"(write #{lower_bound}) had already completed before the read started"
+            )
+        lag = bisect_right(write_invoked, ended) - seq
+        if lag > max_lag:
+            max_lag = lag
+        # Real-time precedence uses strict inequalities; for two operations
+        # of the *same* sequential process whose boundary times coincide
+        # (zero think time), program order still applies: a read by the
+        # writer must not return a value older than the writer's own latest
+        # completed write invoked before the read, nor the value of a write
+        # the writer invoked after it (Claim 1 covers the strict case).
+        if pids[row] == writer_pid:
+            newest = newest_done[bisect_left(write_invoked, started)]
+            if seq < newest:
+                writer_order.append(
+                    "program order (writer): "
+                    f"{describe(row)} returned write #{seq} although the writer itself had "
+                    f"already completed write #{newest} before invoking the read"
+                )
+            elif seq and started < write_invoked[seq - 1] <= ended:
+                writer_order.append(
+                    "program order (writer): "
+                    f"{describe(row)} returned the value of {describe(write_rows[seq - 1])}, "
+                    "which the writer itself invoked only after invoking the read"
+                )
+        # Claim 3: reads that responded strictly before this one was invoked
+        # must not have returned a newer write.
+        position = bisect_left(read_responded, started)
+        if position and read_max[position - 1] > seq:
+            claim3.append(
+                "Claim 3 (new/old inversion): "
+                f"{describe(row)} returned write #{seq} although an earlier read that had "
+                f"already terminated before it started returned write #{read_max[position - 1]}"
+            )
+    report.max_read_lag = max_lag
+
+    # Successive reads by the same process must return non-decreasing indices.
+    op_id = history._op_id
+    by_reader: dict[int, list[tuple[int, int]]] = {}
+    for row, seq in reads:
+        by_reader.setdefault(pids[row], []).append((row, seq))
+    reader_order: list[str] = []
+    for pid, items in by_reader.items():
+        items.sort(key=lambda item: (invoked[item[0]], op_id[item[0]]))
+        best_so_far = 0
+        for row, seq in items:
+            if seq < best_so_far:
+                reader_order.append(
+                    "program order (reader): "
+                    f"{describe(row)} returned write #{seq} although an earlier read by the "
+                    f"same process p{pid} had already returned write #{best_so_far}"
+                )
+            elif seq > best_so_far:
+                best_so_far = seq
+
+    for message in claim1 + claim2 + writer_order + reader_order + claim3:
+        report.record(message)
     return report

@@ -22,55 +22,53 @@ MAX_READS = 5
 def swmr_histories(draw) -> History:
     """Random single-writer histories with distinct written values.
 
-    Writes are sequential (the single writer's program order); reads are
-    placed at arbitrary (possibly overlapping) intervals and return either
-    the initial value or any written value — so roughly half the generated
+    The writer (process 0) is sequential: its writes, and the reads it
+    interleaves between them, follow one another in program order, and
+    each of its operations may start at the very instant the previous one
+    responded (zero think time), where only program order — not real-time
+    precedence — orders the two.  The other reads are placed at arbitrary
+    (possibly overlapping) intervals.  Every read returns either the
+    initial value or any written value — so roughly half the generated
     histories are atomic and half are not, which is exactly what a
     cross-validation test wants.
     """
     num_writes = draw(st.integers(min_value=0, max_value=MAX_WRITES))
     num_reads = draw(st.integers(min_value=1, max_value=MAX_READS))
+    possible_values = ["v0"] + [f"v{i}" for i in range(1, num_writes + 1)]
     operations: list[Operation] = []
-    op_id = 0
 
-    # Sequential writes by process 0 with gaps between them.
-    clock = 0.0
-    write_intervals: list[tuple[float, float]] = []
-    for index in range(1, num_writes + 1):
-        start = clock + draw(st.floats(min_value=0.0, max_value=2.0))
-        duration = draw(st.floats(min_value=0.1, max_value=3.0))
-        end = start + duration
+    def think_time() -> float:
+        return draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)))
+
+    def add(pid: int, kind: OpKind, payload: str, start: float, end: float) -> None:
         operations.append(
             Operation(
-                pid=0,
-                kind=OpKind.WRITE,
-                value=f"v{index}",
+                pid=pid,
+                kind=kind,
+                value=payload if kind is OpKind.WRITE else None,
+                result=payload if kind is OpKind.READ else None,
                 invoked_at=start,
                 responded_at=end,
-                op_id=op_id,
+                op_id=len(operations),
             )
         )
-        op_id += 1
-        write_intervals.append((start, end))
-        clock = end
+
+    # The writer's program: each write, optionally followed by a read of its own.
+    clock = 0.0
+    for index in range(1, num_writes + 1):
+        start = clock + think_time()
+        clock = start + draw(st.floats(min_value=0.1, max_value=3.0))
+        add(0, OpKind.WRITE, f"v{index}", start, clock)
+        if draw(st.booleans()):
+            start = clock + think_time()
+            clock = start + draw(st.floats(min_value=0.1, max_value=3.0))
+            add(0, OpKind.READ, draw(st.sampled_from(possible_values)), start, clock)
 
     horizon = max(clock, 1.0) + 2.0
-    possible_values = ["v0"] + [f"v{i}" for i in range(1, num_writes + 1)]
     for reader in range(num_reads):
         start = draw(st.floats(min_value=0.0, max_value=horizon))
         duration = draw(st.floats(min_value=0.1, max_value=3.0))
-        value = draw(st.sampled_from(possible_values))
-        operations.append(
-            Operation(
-                pid=1 + (reader % 3),
-                kind=OpKind.READ,
-                result=value,
-                invoked_at=start,
-                responded_at=start + duration,
-                op_id=op_id,
-            )
-        )
-        op_id += 1
+        add(1 + (reader % 3), OpKind.READ, draw(st.sampled_from(possible_values)), start, start + duration)
 
     return History(operations=operations, initial_value="v0")
 
@@ -80,7 +78,7 @@ def swmr_histories(draw) -> History:
 def test_fast_checker_agrees_with_the_linearizability_oracle(history: History):
     """The specialised Lemma-10 checker and the general oracle must agree."""
     fast_verdict = check_swmr_atomicity(history, raise_on_violation=False).ok
-    oracle_verdict = is_linearizable(history, max_operations=MAX_WRITES + MAX_READS + 1)
+    oracle_verdict = is_linearizable(history, max_operations=2 * MAX_WRITES + MAX_READS)
     assert fast_verdict == oracle_verdict, (
         f"checkers disagree (fast={fast_verdict}, oracle={oracle_verdict}) on:\n"
         + history.describe()

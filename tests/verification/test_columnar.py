@@ -117,6 +117,15 @@ class TestRoundTripProperties:
         assert columnar.written_values_distinct() == history.written_values_distinct()
         assert columnar.max_concurrency() == history.max_concurrency()
 
+    @settings(**SETTINGS)
+    @given(histories())
+    def test_timestamps_match_row_views(self, history):
+        columnar = ColumnarHistory.from_history(history)
+        invoked, responded = columnar.timestamps()
+        assert invoked == [view.invoked_at for view in columnar]
+        assert responded == [view.responded_at for view in columnar]
+        assert responded == [op.responded_at for op in history.operations]
+
 
 class TestRepresentationDetails:
     def test_pending_operation_round_trips(self):
