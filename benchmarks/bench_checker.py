@@ -88,7 +88,7 @@ def check_run(num_keys: int, num_ops: int, rate: float, seed: int) -> dict:
     cap_demonstrated = False
     if len(largest) > 64:
         try:
-            brute_force_is_linearizable(largest, max_operations=64)
+            brute_force_is_linearizable(largest.to_history(), max_operations=64)
         except ValueError:
             cap_demonstrated = True
     return {

@@ -74,6 +74,19 @@ def _json_number(value: Optional[float], digits: int = 3) -> Optional[float]:
     return round(value, digits)
 
 
+def _verdict_cell(report) -> str:
+    """A per-key verdict: "yes" only when at least one operation was checked."""
+    if not report.ok:
+        return "NO"
+    if report.operations_checked == 0:
+        return "no verdict (0 ops checked)"
+    return f"yes ({report.operations_checked} ops, {report.keys_checked} keys)"
+
+
+#: Printed, and the run fails, when a verdict would be vacuous.
+_NOTHING_CHECKED = "no operation was checked, so the run proves nothing"
+
+
 def _delay_model(name: str, seed: int):
     if name == "uniform":
         return UniformDelay(0.1, 2.0, seed=seed)
@@ -359,7 +372,7 @@ def _cmd_store_live(args: argparse.Namespace) -> int:
         ["protocol messages", result.messages_total],
         ["wall seconds", round(result.wall_seconds, 3)],
         ["ops per wall second", round(result.wall_throughput(), 1)],
-        ["per-key linearizable", f"yes ({report.keys_checked} keys)" if report.ok else "NO"],
+        ["per-key linearizable", _verdict_cell(report)],
     ]
     if spec.open_loop:
         rows.insert(2, ["offered load (ops/second)", args.rate])
@@ -418,6 +431,9 @@ def _cmd_store_live(args: argparse.Namespace) -> int:
         for violation in report.violations():
             print(f"  - {violation}", file=sys.stderr)
         return 1
+    if report.operations_checked == 0:
+        print(f"\n{_NOTHING_CHECKED}", file=sys.stderr)
+        return 1
     if not result.finished_cleanly:
         print(
             "\nlive run did not finish cleanly: some operations failed or missed "
@@ -474,7 +490,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         ["wall seconds", round(result.wall_seconds, 2)],
         ["wall p50 / p95 / p99", f"{_ms(slo['p50'])} / {_ms(slo['p95'])} / {_ms(slo['p99'])}"],
         ["p99 SLO target", _ms(slo["target_p99"]) if slo["target_p99"] is not None else "none (report only)"],
-        ["per-key linearizable", f"yes ({report.keys_checked} keys)" if report.ok else "NO"],
+        ["per-key linearizable", _verdict_cell(report)],
     ]
     print(
         format_table(
@@ -492,7 +508,9 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         print("\nper-key linearizability violations:", file=sys.stderr)
         for violation in report.violations():
             print(f"  - {violation}", file=sys.stderr)
-    ok = slo["ok"] and report.ok and result.finished_cleanly
+    if report.operations_checked == 0:
+        print(f"\n{_NOTHING_CHECKED}", file=sys.stderr)
+    ok = slo["ok"] and report.ok and report.operations_checked > 0 and result.finished_cleanly
     if not ok:
         print("\nloadgen run FAILED its gates", file=sys.stderr)
     return 0 if ok else 1
@@ -504,6 +522,12 @@ def cmd_store(args: argparse.Namespace) -> int:
     from repro.workloads.kv import CrashPoint, run_kv_workload
     from repro.workloads.scenarios import kv_uniform, kv_zipfian
 
+    if args.ops < 1:
+        print(
+            f"invalid store parameters: --ops must be at least 1, got {args.ops}",
+            file=sys.stderr,
+        )
+        return 2
     if args.replicas is not None:
         # `--replicas` is the live-transport wording for `--replication`;
         # both set the per-shard replica count on either backend.
@@ -619,7 +643,7 @@ def cmd_store(args: argparse.Namespace) -> int:
         ["virtual makespan", round(result.virtual_makespan, 2)],
         ["ops per virtual time unit", round(result.virtual_throughput(), 3)],
         ["mean op latency (virtual)", round(result.mean_latency(), 3)],
-        ["per-key atomic", f"yes ({report.keys_checked} keys)" if report.ok else "NO"],
+        ["per-key atomic", _verdict_cell(report)],
     ]
     if not result.finished_cleanly:
         rows.insert(3, ["finished cleanly", "NO (virtual-time budget truncated the run)"])
@@ -642,6 +666,9 @@ def cmd_store(args: argparse.Namespace) -> int:
         print("\nper-key atomicity violations:", file=sys.stderr)
         for violation in report.violations():
             print(f"  - {violation}", file=sys.stderr)
+        return 1
+    if report.operations_checked == 0:
+        print(f"\n{_NOTHING_CHECKED}", file=sys.stderr)
         return 1
     if not result.finished_cleanly:
         print(
@@ -884,6 +911,12 @@ def cmd_consensus(args: argparse.Namespace) -> int:
     if args.keys is not None:
         overrides["num_keys"] = args.keys
     if args.ops is not None:
+        if args.ops < 1:
+            print(
+                f"invalid consensus parameters: --ops must be at least 1, got {args.ops}",
+                file=sys.stderr,
+            )
+            return 2
         overrides["num_ops"] = args.ops
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -919,6 +952,8 @@ def cmd_consensus(args: argparse.Namespace) -> int:
         invariants = _consensus_invariant_violations(result.store)
     if not finished:
         failures.append("run did not finish cleanly")
+    if report.operations_checked == 0:
+        failures.append(_NOTHING_CHECKED)
     failures.extend(check_failures)
     if invariants:
         failures.extend(invariants)
@@ -932,7 +967,7 @@ def cmd_consensus(args: argparse.Namespace) -> int:
         ["operations failed", failed],
         ["total messages", messages],
         makespan_row,
-        ["per-key SMR-linearizable", f"yes ({report.keys_checked} keys)" if report.ok else "NO"],
+        ["per-key SMR-linearizable", _verdict_cell(report)],
         [
             "agreement/validity invariants",
             "n/a (no process access)"

@@ -28,10 +28,13 @@ Row index == driver ``op_id`` (submission order), so the log *is* the
 ``driver.ops`` list in columnar form.  Everything downstream reads it
 through views:
 
-* :meth:`OpLog.per_key_histories` groups issued rows by key and emits
-  :class:`~repro.verification.columnar.ColumnarHistory` objects that share
-  the log's value table — the store's history/checking plane allocates no
-  per-op objects at all.
+* :meth:`OpLog.per_key_histories` (and :meth:`OpLog.history_for` for one
+  key) groups issued rows by key and emits
+  :class:`~repro.verification.columnar.ColumnarHistory` column slices that
+  share the log's value table.  The Lemma-10 claims checker reads those
+  columns as they are, so checking a single-writer store builds no
+  ``Operation`` objects; anything that walks rows (the Wing–Gong search, tests)
+  calls ``to_history()`` to get ``Operation`` objects for one key at a time.
 
 The wire format (:func:`encode_oplog` / :func:`decode_oplog`) serializes
 the raw column buffers with pickle protocol 5 out-of-band buffers: a load

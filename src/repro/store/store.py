@@ -211,6 +211,11 @@ class StoreAtomicityReport:
     def keys_checked(self) -> int:
         return len(self.per_key)
 
+    @property
+    def operations_checked(self) -> int:
+        """Relevant operations checked across every key."""
+        return sum(report.operations for report in self.per_key.values())
+
     def violations(self) -> list[str]:
         """All violations, each prefixed with the offending key."""
         messages: list[str] = []
@@ -634,8 +639,9 @@ class KVStore:
         """Every deployed key's history, keyed by key.
 
         Histories are :class:`~repro.verification.columnar.ColumnarHistory`
-        row views over the driver's OpLog — same ``to_dict`` output, same
-        checker verdicts, a fraction of the memory (DESIGN.md §11).
+        column slices of the driver's OpLog: the checkers take them as they
+        are, and ``to_history()`` turns one into ``Operation`` rows
+        (DESIGN.md §11).
         """
         return self.driver.oplog.per_key_histories(
             initial_value=self.config.initial_value

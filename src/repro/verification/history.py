@@ -3,10 +3,17 @@
 A *history* is the sequence of invocation and response events of the
 operations the clients issued.  Atomicity (linearizability) is a property of
 histories: the run is correct iff the history could have been produced by a
-register accessed sequentially, respecting real-time order.  The verification
-checkers consume :class:`History` objects; the workload runner produces them
-from the per-operation :class:`~repro.registers.base.OperationRecord` objects
-each process accumulates.
+register accessed sequentially, respecting real-time order.
+
+:class:`Operation` is the one row type of the verification layer.  A
+:class:`History` is a list of them: the single-register workload runner
+builds one from the per-operation
+:class:`~repro.registers.base.OperationRecord` objects each process
+accumulates, tests build them by hand (:func:`make_history`), and a store,
+live or load-generator run's per-key
+:class:`~repro.verification.columnar.ColumnarHistory` becomes one through
+``to_history()``.  The Lemma-10 claims checker accepts either form; the
+Wing–Gong search and witness checking take a ``History``.
 
 Conventions
 -----------
@@ -221,22 +228,6 @@ class History:
         return sorted(
             (op for op in self.operations if op.pid == pid), key=lambda op: op.invoked_at
         )
-
-    def writer_pids(self) -> set[int]:
-        """The set of processes that invoked at least one write."""
-        return {op.pid for op in self.operations if op.is_write}
-
-    def written_values_distinct(self) -> bool:
-        """True when all written values (plus the initial value) are pairwise distinct."""
-        values = [self.initial_value] + [op.value for op in self.operations if op.is_write]
-        try:
-            return len(values) == len(set(values))
-        except TypeError:  # unhashable values: fall back to a quadratic check
-            for i, left in enumerate(values):
-                for right in values[i + 1 :]:
-                    if left == right:
-                        return False
-            return True
 
     def max_concurrency(self) -> int:
         """Maximum number of operations whose intervals overlap at one instant."""

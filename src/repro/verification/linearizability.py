@@ -48,8 +48,10 @@ concurrency windows are small.  Keys that are single-writer with distinct
 hashable written values take the ``O(n log n)`` Lemma-10 claims checker of
 :mod:`repro.verification.register_checker` as a fast path (the cheap
 register-specific pruning), which reads a columnar history's columns in
-place; everything else runs the Wing–Gong core, and only those keys are
-materialized as ``Operation`` objects.
+place; a key it declines (by raising its documented ``ValueError`` or
+``TypeError``) runs the Wing–Gong core, and only those keys are
+materialized as ``Operation`` objects.  The search itself, like
+:func:`verify_witness`, takes a ``History`` only.
 
 Pending operations are handled per the linearizability definition: a
 pending **write** may be linearized (it might have taken effect) or
@@ -617,36 +619,34 @@ def check_histories_per_key(
     ``swmr_fast_path=False`` to force the search engine on every key (the
     checker benchmark does, to measure it).
     """
-    from repro.verification.columnar import ColumnarHistory
-    from repro.verification.register_checker import _check_columns
+    from repro.verification import register_checker
     from repro.verification.specs import get_spec
 
     spec_obj = get_spec(spec)
     report = PartitionedCheckReport()
     for key, history in histories.items():
-        # The claims checker reads a columnar history's columns in place;
-        # strict=False makes it return None for a key it does not decide.
         # Non-register specs always run the (spec-parametric) search core.
-        claims = None
         if spec_obj is None and swmr_fast_path:
-            columns = (
-                history
-                if isinstance(history, ColumnarHistory)
-                else ColumnarHistory.from_history(history)
-            )
-            claims = _check_columns(columns, strict=False)
-        if claims is not None:
-            report.per_key[key] = CheckResult(
-                linearizable=claims.ok,
-                operations=claims.reads_checked + claims.writes_checked,
-                method="swmr-claims",
-                violations=list(claims.violations),
-            )
-            continue
+            # Looked up at call time, so a wrapper installed on the module
+            # (the layer tracer's) sees every claims check.
+            try:
+                claims = register_checker.check_swmr_atomicity(
+                    history, raise_on_violation=False
+                )
+            except (ValueError, TypeError):  # a key the claims do not decide
+                pass
+            else:
+                report.per_key[key] = CheckResult(
+                    linearizable=claims.ok,
+                    operations=claims.operations,
+                    method="swmr-claims",
+                    violations=list(claims.violations),
+                )
+                continue
         # The search walks operations hard: materialize one key's rows into
         # plain Operation objects for the duration of its check.  Peak extra
         # memory is a single key's history, not the run's.
-        if isinstance(history, ColumnarHistory):
+        if not isinstance(history, History):
             history = history.to_history()
         report.per_key[key] = check_linearizability(
             history,

@@ -23,15 +23,18 @@ bisection.  The general (exponential) checker in
 :mod:`repro.verification.linearizability` is used in property-based tests to
 cross-validate this one on small histories.
 
-The checker reads the columns of a
-:class:`~repro.verification.columnar.ColumnarHistory` directly (pids, kind
-bytes, timestamps and interned value indices) and builds ``OpView`` rows
-only to describe the violating operations.  An object-based
-:class:`~repro.verification.history.History` is converted to columns once,
-so both representations produce the same report, message for message.
+The checker reads one sequence per field: a
+:class:`~repro.verification.history.History` yields them with one
+comprehension per ``Operation`` field, and the per-key
+:class:`~repro.verification.columnar.ColumnarHistory` of a store, live or
+load-generator run yields them from its columns and value table
+(:meth:`~repro.verification.columnar.ColumnarHistory.fields`).  Neither is
+converted to the other, so both produce the same report, message for
+message; a violating row is described through ``Operation.describe``.
 
 Requirements on the history (enforced, with clear errors):
 
+* only reads and writes (any other kind of operation raises ``ValueError``);
 * at most one writer process (pending writes included);
 * written values pairwise distinct (under ``==``) and different from the
   initial value, so a read's return value identifies the write it read from
@@ -46,10 +49,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
-from typing import Any, Optional, Union
+from typing import Any, Sequence, Tuple, Union
 
-from repro.verification.columnar import _READ, _WRITE, ColumnarHistory, OpView
-from repro.verification.history import History
+from repro.verification.columnar import ColumnarHistory
+from repro.verification.history import History, OpKind, Operation
 
 
 class AtomicityViolation(AssertionError):
@@ -83,9 +86,30 @@ class AtomicityReport:
     writes_checked: int = 0
     max_read_lag: int = 0
 
+    @property
+    def operations(self) -> int:
+        """Operations the claims constrained: completed reads plus every write."""
+        return self.reads_checked + self.writes_checked
+
     def record(self, message: str) -> None:
         self.ok = False
         self.violations.append(message)
+
+
+def _fields(history: Union[History, ColumnarHistory]) -> Tuple[Sequence[Any], ...]:
+    """``(pid, kind, value, result, invoked_at, responded_at, op_id)`` per row."""
+    if isinstance(history, ColumnarHistory):
+        return history.fields()
+    ops = history.operations
+    return (
+        [op.pid for op in ops],
+        [op.kind for op in ops],
+        [op.value for op in ops],
+        [op.result for op in ops],
+        [op.invoked_at for op in ops],
+        [op.responded_at for op in ops],
+        [op.op_id for op in ops],
+    )
 
 
 def check_swmr_atomicity(
@@ -97,51 +121,34 @@ def check_swmr_atomicity(
     first collected set of violations is raised as :class:`AtomicityViolation`
     (with every violation listed in the message).
 
-    A history the claims do not decide — more than one writer, an
-    unhashable initial or written value, written values that are not
-    pairwise distinct — raises ``ValueError`` (``TypeError`` for an
-    unhashable written value).
+    A history the claims do not decide — an operation that is neither a
+    read nor a write, more than one writer, an unhashable initial or
+    written value, written values that are not pairwise distinct — raises
+    ``ValueError`` (``TypeError`` for an unhashable written value);
+    :func:`~repro.verification.linearizability.check_histories_per_key`
+    sends such a key to the Wing–Gong search.
     """
-    if not isinstance(history, ColumnarHistory):
-        history = ColumnarHistory.from_history(history)
-    report = _check_columns(history, strict=True)
-    assert report is not None  # strict mode raises rather than returning None
-    if not report.ok and raise_on_violation:
-        raise AtomicityViolation(
-            f"{len(report.violations)} atomicity violation(s):\n  - "
-            + "\n  - ".join(report.violations)
-        )
-    return report
-
-
-def _check_columns(history: ColumnarHistory, strict: bool) -> Optional[AtomicityReport]:
-    """The claims, computed straight from ``history``'s columns.
-
-    With ``strict=False`` a history the claims do not decide (see
-    :func:`check_swmr_atomicity`), or one holding operations other than
-    reads and writes, returns ``None`` instead of raising: the per-key
-    checker uses that to route it to the Wing–Gong search.
-    """
-    kinds = history._kind
-    pids = history._pid
-    table = history._table
-    invoked, responded = history.timestamps()
+    columns = _fields(history)
+    pids, kinds, values, results, invoked, responded, op_ids = columns
 
     # --- scope: who writes what, and which reads completed --------------------
     write_rows: list[int] = []
     read_rows: list[int] = []
+    write, read = OpKind.WRITE, OpKind.READ
     for row, kind in enumerate(kinds):
-        if kind == _WRITE:
+        if kind is write:
             write_rows.append(row)
-        elif kind == _READ:
+        elif kind is read:
             if responded[row] is not None:
                 read_rows.append(row)
-        elif not strict:
-            return None
+        else:
+            raise ValueError(
+                f"history holds a {kind.value} operation; "
+                "the fast checker only handles reads and writes — "
+                "use verification.linearizability.check_linearizability instead"
+            )
     writer_pids = {pids[row] for row in write_rows}
     if len(writer_pids) > 1:
-        if not strict:
-            return None
         raise ValueError(
             f"history has {len(writer_pids)} writers ({sorted(writer_pids)}); "
             "the fast checker only handles single-writer histories — "
@@ -153,21 +160,10 @@ def _check_columns(history: ColumnarHistory, strict: bool) -> Optional[Atomicity
     try:
         seq_of_value: dict[Any, int] = {history.initial_value: 0}
     except TypeError as exc:  # unhashable initial value
-        if not strict:
-            return None
         raise ValueError("initial value must be hashable for the fast checker") from exc
-    value_idx = history._value_idx
     for seq, row in enumerate(write_rows, start=1):
-        value = table[value_idx[row]]
-        try:
-            duplicate = value in seq_of_value
-        except TypeError:  # unhashable written value
-            if not strict:
-                return None
-            raise
-        if duplicate:
-            if not strict:
-                return None
+        value = values[row]
+        if value in seq_of_value:  # TypeError for an unhashable value
             raise ValueError(
                 f"written value {value!r} is not unique in the history; "
                 "the fast checker requires distinct written values — "
@@ -178,15 +174,14 @@ def _check_columns(history: ColumnarHistory, strict: bool) -> Optional[Atomicity
     report = AtomicityReport(reads_checked=len(read_rows), writes_checked=len(write_rows))
 
     def describe(row: int) -> str:
-        return OpView(history, row).describe()
+        return Operation(*(column[row] for column in columns)).describe()
 
     # --- map each completed read to the index of the value it returned -------
     # Equality, not the intern slot, decides which write a result names: the
-    # table keeps ``1`` and ``1.0`` apart, the claims do not.
-    result_idx = history._result_idx
+    # value table keeps ``1`` and ``1.0`` apart, the claims do not.
     reads: list[tuple[int, int]] = []
     for row in read_rows:
-        seq = seq_of_value.get(table[result_idx[row]])
+        seq = seq_of_value.get(results[row])
         if seq is None:
             report.record(
                 f"read returned a value that was never written: {describe(row)} "
@@ -283,13 +278,12 @@ def _check_columns(history: ColumnarHistory, strict: bool) -> Optional[Atomicity
     report.max_read_lag = max_lag
 
     # Successive reads by the same process must return non-decreasing indices.
-    op_id = history._op_id
     by_reader: dict[int, list[tuple[int, int]]] = {}
     for row, seq in reads:
         by_reader.setdefault(pids[row], []).append((row, seq))
     reader_order: list[str] = []
     for pid, items in by_reader.items():
-        items.sort(key=lambda item: (invoked[item[0]], op_id[item[0]]))
+        items.sort(key=lambda item: (invoked[item[0]], op_ids[item[0]]))
         best_so_far = 0
         for row, seq in items:
             if seq < best_so_far:
@@ -303,4 +297,9 @@ def _check_columns(history: ColumnarHistory, strict: bool) -> Optional[Atomicity
 
     for message in claim1 + claim2 + writer_order + reader_order + claim3:
         report.record(message)
+    if not report.ok and raise_on_violation:
+        raise AtomicityViolation(
+            f"{len(report.violations)} atomicity violation(s):\n  - "
+            + "\n  - ".join(report.violations)
+        )
     return report

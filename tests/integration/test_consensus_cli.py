@@ -4,12 +4,18 @@ from repro.cli import main
 
 
 class TestConsensusCli:
+    def test_fewer_than_one_op_is_rejected(self, capsys):
+        assert main(["consensus", "--ops", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "--ops must be at least 1" in captured.err
+        assert "SMR-linearizable" not in captured.out
+
     def test_smoke_scenario_is_green(self, capsys):
         code = main(["consensus"])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "consensus: consensus_smoke (mmr-cas" in out
-        assert "per-key SMR-linearizable      | yes" in out
+        assert "per-key SMR-linearizable      | yes (150 ops, 6 keys)" in out
         assert "agreement/validity invariants | hold" in out
 
     def test_counter_scenario_with_overrides(self, capsys):

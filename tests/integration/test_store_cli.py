@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _verdict_cell, main
+from repro.store.store import StoreAtomicityReport
 
 
 class TestStoreCli:
@@ -13,6 +14,20 @@ class TestStoreCli:
         out = capsys.readouterr().out
         assert "per-key atomic" in out
         assert "yes" in out
+
+    def test_verdict_counts_the_checked_operations(self, capsys):
+        assert main(["store", "--ops", "80", "--keys", "8"]) == 0
+        assert "per-key atomic              | yes (80 ops, 8 keys)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ops", ["0", "-5"])
+    def test_fewer_than_one_op_is_rejected(self, capsys, ops):
+        assert main(["store", "--ops", ops]) == 2
+        captured = capsys.readouterr()
+        assert "--ops must be at least 1" in captured.err
+        assert "per-key atomic" not in captured.out
+
+    def test_an_empty_report_is_no_verdict(self):
+        assert _verdict_cell(StoreAtomicityReport()) == "no verdict (0 ops checked)"
 
     def test_zipfian_with_crashes(self, capsys):
         code = main(

@@ -169,7 +169,7 @@ class TestPerKeyAtomicity:
         store.put("a", "a=v1")
         store.put("b", "b=v1")
         store.get("a")
-        history = store.history("a")
+        history = store.history("a").to_history()
         assert len(history) == 2  # one write + one read, not b's operations
         assert {op.pid for op in history} <= {0, 1, 2}
 

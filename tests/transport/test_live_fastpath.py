@@ -69,7 +69,7 @@ class TestCrossCodecEquivalence:
         def op_stream(result):
             ops = Counter()
             for key, history in result.histories().items():
-                for record in history.operations:
+                for record in history.to_history().operations:
                     value = record.value if record.is_write else None
                     ops[(key, record.is_write, value)] += 1
             return ops
@@ -146,7 +146,7 @@ class TestCrossBackendConsensus:
             return {
                 key: [
                     (record.kind.value, record.value, record.result)
-                    for record in histories[key].operations
+                    for record in histories[key].to_history().operations
                 ]
                 for key in histories
             }

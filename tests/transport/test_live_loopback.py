@@ -49,7 +49,7 @@ class TestLiveLoopbackRun:
             live_spec(num_ops=300).with_(arrival="poisson", arrival_rate=400.0)
         )
         assert result.finished_cleanly
-        ops = [op for history in result.histories().values() for op in history.operations]
+        ops = [op for history in result.histories().values() for op in history.to_history().operations]
         assert len(ops) == 300
         assert min(op.responded_at for op in ops) < max(op.invoked_at for op in ops)
 
@@ -86,7 +86,7 @@ class TestCrossBackendEquivalence:
         )
         live_ops = Counter()
         for key, history in live_result.histories().items():
-            for record in history.operations:
+            for record in history.to_history().operations:
                 kind = OperationKind.WRITE if record.is_write else OperationKind.READ
                 live_ops[(kind.value, key, record.value if record.is_write else None)] += 1
         assert sim_ops == live_ops

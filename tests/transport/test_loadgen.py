@@ -71,7 +71,7 @@ class TestLoadgenSmoke:
         # milliseconds must carry that reply time, not the end of its
         # worker's schedule.  Session pids are worker + clients * n.
         clients = result.spec.clients
-        ops = [op for history in result.histories().values() for op in history.operations]
+        ops = [op for history in result.histories().values() for op in history.to_history().operations]
         for worker in range(clients):
             mine = [op for op in ops if op.pid % clients == worker]
             assert min(op.responded_at for op in mine) < max(op.invoked_at for op in mine)
@@ -88,7 +88,7 @@ class TestLoadgenSmoke:
         pids = [
             record.pid
             for history in result.histories().values()
-            for record in history.operations
+            for record in history.to_history().operations
         ]
         assert len(pids) == len(set(pids))
 
@@ -96,7 +96,7 @@ class TestLoadgenSmoke:
         writes = [
             record.value
             for history in result.histories().values()
-            for record in history.operations
+            for record in history.to_history().operations
             if record.is_write
         ]
         assert len(writes) == len(set(writes))

@@ -109,7 +109,7 @@ class TestRecordReply:
         assert record.completed and record.result == "v7"
         assert record.responded_at == 1.25
         (history,) = oplog.per_key_histories().values()
-        (operation,) = history.operations
+        (operation,) = history.to_history().operations
         assert (operation.invoked_at, operation.responded_at) == (1.0, 1.25)
         assert metrics.completed == 1
 

@@ -1,27 +1,20 @@
-"""ColumnarHistory ↔ History round-trips and checker differentials.
+"""Columnar per-key histories: the OpLog's column slices against ``History``.
 
-The columnar plane is gated on *exactness*: converting an object history to
-columns and back must reproduce it field-for-field (including pending
-operations, duplicate/interned values, unhashable values and
-non-float-representable timestamps), serialized ``to_dict`` output must be
-byte-identical, and every checker must return the same verdict — with the
-same witness — on either representation.
+A :class:`ColumnarHistory` is built only by an :class:`OpLog`.  It is gated
+on *exactness*: ``to_history()`` must rebuild the rows that
+``History.from_records`` builds from the same records — pending and failed
+operations, interned duplicate values, unhashable values and the
+``1``/``1.0``/``True`` equality trap included — ``to_dict`` output must be
+byte-identical, and the claims checker must return the same report on the
+columns as on the materialized rows.
 """
 
-import math
-import pickle
-
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.verification.columnar import ColumnarHistory, OpView, ValueInterner
-from repro.verification.history import History, OpKind, Operation, make_history
-from repro.verification.linearizability import (
-    check_linearizability,
-    find_linearization,
-    is_linearizable,
-    verify_witness,
-)
+from repro.exec.oplog import OpLog
+from repro.registers.base import OperationKind, OperationRecord
+from repro.verification.columnar import ValueInterner
+from repro.verification.history import History, OpKind
 from repro.verification.register_checker import check_swmr_atomicity
 from repro.workloads.kv import run_kv_workload
 from repro.workloads.scenarios import kv_openloop, kv_uniform, kv_zipfian
@@ -36,123 +29,131 @@ values = st.one_of(
     st.text(max_size=4),
     st.lists(st.integers(0, 2), max_size=2),
 )
-# Times mix plain floats with ints (the non-float-representable-in-a-double
-# column case hand-written test histories hit).
-times = st.one_of(
-    st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False),
-    st.integers(min_value=0, max_value=10**6),
-)
+times = st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+def log_operation(log, key, kind, value, pid, op_id, invoked=None, responded=None, result=None, failed=None):
+    """Record one driver operation into ``log``; returns its record (or None)."""
+    row = log.note_created(kind, key, value)
+    if invoked is None:  # never issued: no record, no history row
+        if failed is not None:
+            log.note_failed(row, failed)
+        return None
+    record = OperationRecord(
+        op_id=op_id, pid=pid, kind=kind, value=value, invoked_at=invoked
+    )
+    log.note_issued(row, record)
+    if responded is not None:
+        record.responded_at = responded
+        record.result = result
+        log.note_completed(row, record)
+    elif failed is not None:  # failed after issue: pending forever
+        log.note_failed(row, failed)
+    return record
 
 
 @st.composite
-def histories(draw):
-    n = draw(st.integers(min_value=0, max_value=12))
-    operations = []
-    for op_id in range(n):
-        invoked = draw(times)
+def logged_runs(draw):
+    """An OpLog over two keys plus, per key, the records it was fed."""
+    log = OpLog()
+    records = {"a": [], "b": []}
+    for op_id in range(draw(st.integers(min_value=0, max_value=12))):
+        key = draw(st.sampled_from(["a", "b"]))
+        kind = draw(st.sampled_from([OperationKind.READ, OperationKind.WRITE]))
+        issued = draw(st.booleans())
+        invoked = draw(times) if issued else None
         pending = draw(st.booleans())
-        responded = None if pending else invoked + draw(times)
-        operations.append(
-            Operation(
-                pid=draw(st.integers(min_value=0, max_value=5)),
-                kind=draw(st.sampled_from([OpKind.READ, OpKind.WRITE])),
-                value=draw(values),
-                result=draw(values),
-                invoked_at=invoked,
-                responded_at=responded,
-                op_id=op_id,
-            )
+        record = log_operation(
+            log,
+            key,
+            kind,
+            draw(values),
+            pid=draw(st.integers(min_value=0, max_value=3)),
+            op_id=op_id,
+            invoked=invoked,
+            responded=None if not issued or pending else invoked + draw(times),
+            result=draw(values),
+            failed=draw(st.one_of(st.none(), st.just("crashed"))),
         )
-    return History(operations=operations, initial_value=draw(values))
+        if record is not None:
+            records[key].append(record)
+    return log, records, draw(values)
+
+
+def materialized(run):
+    """Per key: the columnar history, and the History the records make."""
+    log, records, initial = run
+    for key, key_records in records.items():
+        yield (
+            log.history_for(key, initial_value=initial),
+            History.from_records(key_records, initial_value=initial),
+        )
+
+
+def crafted_log():
+    """One key: equal cross-type values, a pending row, two failed ops."""
+    log = OpLog()
+    read, write = OperationKind.READ, OperationKind.WRITE
+    log_operation(log, "k", write, 1, pid=0, op_id=0, invoked=0.0, responded=1.0)
+    log_operation(log, "k", write, 1.0, pid=0, op_id=1, invoked=2.0, responded=3.0)
+    log_operation(log, "k", read, None, pid=1, op_id=0, invoked=4.0, responded=5.0, result=True)
+    # Failed after issue: a pending row.  Failed before issue: no row.
+    log_operation(log, "k", write, "lost", pid=0, op_id=2, invoked=6.0, failed="crashed")
+    log_operation(log, "k", write, "never", pid=0, op_id=3, failed="crashed before issuing")
+    return log
 
 
 class TestRoundTripProperties:
     @settings(**SETTINGS)
-    @given(histories())
-    def test_history_round_trips_exactly(self, history):
-        columnar = ColumnarHistory.from_history(history)
-        back = columnar.to_history()
-        assert back == history
-        for restored, original in zip(back.operations, history.operations):
-            assert type(restored.invoked_at) is type(original.invoked_at)
-            assert type(restored.responded_at) is type(original.responded_at)
-            assert type(restored.value) is type(original.value)
-            assert type(restored.result) is type(original.result)
+    @given(logged_runs())
+    def test_history_round_trips_exactly(self, run):
+        for columnar, expected in materialized(run):
+            back = columnar.to_history()
+            assert back == expected
+            assert len(columnar) == len(expected)
+            for restored, original in zip(back.operations, expected.operations):
+                assert type(restored.value) is type(original.value)
+                assert type(restored.result) is type(original.result)
 
     @settings(**SETTINGS)
-    @given(histories())
-    def test_to_dict_identical(self, history):
-        columnar = ColumnarHistory.from_history(history)
-        assert columnar.to_dict() == history.to_dict()
+    @given(logged_runs())
+    def test_to_dict_identical(self, run):
+        for columnar, expected in materialized(run):
+            assert columnar.to_dict() == expected.to_dict()
 
     @settings(**SETTINGS)
-    @given(histories())
-    def test_views_equal_operations_both_ways(self, history):
-        columnar = ColumnarHistory.from_history(history)
-        assert len(columnar) == len(history.operations)
-        for view, op in zip(columnar.operations, history.operations):
-            assert view == op
-            assert op == view
-            try:
-                assert hash(view) == hash(op)
-            except TypeError:
-                pass  # unhashable field (list value): Operation can't hash either
-
-    @settings(**SETTINGS)
-    @given(histories())
-    def test_pickle_ships_columns_and_round_trips(self, history):
-        columnar = ColumnarHistory.from_history(history)
-        restored = pickle.loads(pickle.dumps(columnar))
-        assert restored.to_dict() == history.to_dict()
-
-    @settings(**SETTINGS)
-    @given(histories())
-    def test_filtered_views_match_object_path(self, history):
-        columnar = ColumnarHistory.from_history(history)
-        assert [v.to_operation() for v in columnar.completed()] == history.completed()
-        assert [v.to_operation() for v in columnar.pending()] == history.pending()
-        assert [v.to_operation() for v in columnar.reads()] == history.reads()
-        assert [v.to_operation() for v in columnar.writes()] == history.writes()
-        assert columnar.writer_pids() == history.writer_pids()
-        assert columnar.written_values_distinct() == history.written_values_distinct()
-        assert columnar.max_concurrency() == history.max_concurrency()
-
-    @settings(**SETTINGS)
-    @given(histories())
-    def test_timestamps_match_row_views(self, history):
-        columnar = ColumnarHistory.from_history(history)
-        invoked, responded = columnar.timestamps()
-        assert invoked == [view.invoked_at for view in columnar]
-        assert responded == [view.responded_at for view in columnar]
-        assert responded == [op.responded_at for op in history.operations]
+    @given(logged_runs())
+    def test_timestamps_match_row_views(self, run):
+        for columnar, expected in materialized(run):
+            invoked, responded = columnar.timestamps()
+            assert invoked == [op.invoked_at for op in expected.operations]
+            assert responded == [op.responded_at for op in expected.operations]
 
 
 class TestRepresentationDetails:
     def test_pending_operation_round_trips(self):
-        history = make_history([(0, "write", "v1", 0.0, None)], initial_value="v0")
-        columnar = ColumnarHistory.from_history(history)
-        view = columnar.operations[0]
-        assert view.pending
-        assert view.responded_at is None
-        assert columnar.to_history() == history
+        history = crafted_log().history_for("k", initial_value="v0").to_history()
+        assert [op.op_id for op in history.operations] == [0, 1, 2, 3]
+        pending = history.operations[-1]
+        assert pending.pending and pending.kind is OpKind.WRITE
+        assert pending.value == "lost" and pending.result is None
+        assert all(not op.pending for op in history.operations[:-1])
 
-    def test_integer_times_keep_their_type(self):
-        history = make_history([(0, "write", "v1", 1, 3)], initial_value="v0")
-        columnar = ColumnarHistory.from_history(history)
-        view = columnar.operations[0]
-        assert view.invoked_at == 1 and type(view.invoked_at) is int
-        assert view.responded_at == 3 and type(view.responded_at) is int
+    def test_equal_cross_type_values_keep_their_type(self):
+        history = crafted_log().history_for("k", initial_value="v0").to_history()
+        first, second, read_op, _pending = history.operations
+        assert type(first.value) is int and type(second.value) is float
+        assert read_op.kind is OpKind.READ and read_op.result is True
 
-    def test_nan_timestamp_survives_without_becoming_pending(self):
-        nan = float("nan")
-        op = Operation(
-            pid=0, kind=OpKind.WRITE, value="v", result=None,
-            invoked_at=0.0, responded_at=nan, op_id=0,
-        )
-        columnar = ColumnarHistory.from_operations([op])
-        view = columnar.operations[0]
-        assert not view.pending
-        assert math.isnan(view.responded_at)
+    def test_history_for_matches_per_key_histories(self):
+        log = crafted_log()
+        assert log.history_for("k", "v0").to_dict() == log.per_key_histories("v0")["k"].to_dict()
+        assert len(log.history_for("absent", "v0")) == 0
+
+    def test_nbytes_counts_seven_columns(self):
+        history = crafted_log().history_for("k", initial_value="v0")
+        # One kind byte plus six 8-byte columns per row; the table is shared.
+        assert history.nbytes() == 49 * len(history) == 49 * 4
 
     def test_interner_deduplicates_but_separates_equal_cross_type_values(self):
         interner = ValueInterner()
@@ -168,40 +169,17 @@ class TestRepresentationDetails:
         assert interner.values[first] == [1, 2]
 
     def test_duplicate_values_share_one_table_slot(self):
-        history = make_history(
-            [(0, "write", "same", 0.0, 1.0), (1, "read", "same", 2.0, 3.0)],
-            initial_value="same",
+        log = OpLog()
+        log_operation(log, "same", OperationKind.WRITE, "same", pid=0, op_id=0, invoked=0.0, responded=1.0)
+        log_operation(
+            log, "same", OperationKind.READ, None, pid=1, op_id=0, invoked=2.0, responded=3.0, result="same"
         )
-        columnar = ColumnarHistory.from_history(history)
-        assert columnar._table.count("same") == 1
-
-    def test_row_views_have_stable_identity(self):
-        # verify_witness matches witness entries by id(), so separate
-        # accesses to the same row must return the same view object.
-        history = make_history([(0, "write", "v1", 0.0, 1.0)], initial_value="v0")
-        columnar = ColumnarHistory.from_history(history)
-        assert columnar.operations[0] is columnar.operations[0]
-        assert list(columnar.operations)[0] is columnar.operations[0]
-
-    def test_views_interoperate_with_operations_in_sets(self):
-        history = make_history([(0, "write", "v1", 0.0, 1.0)], initial_value="v0")
-        columnar = ColumnarHistory.from_history(history)
-        assert {columnar.operations[0]} == {history.operations[0]}
-
-    def test_row_views_support_negative_index_and_slices(self):
-        history = make_history(
-            [(0, "write", "v1", 0.0, 1.0), (1, "read", "v1", 2.0, 3.0)],
-            initial_value="v0",
-        )
-        rows = ColumnarHistory.from_history(history).operations
-        assert rows[-1] == history.operations[-1]
-        assert [v.to_operation() for v in rows[0:2]] == history.operations
-        with pytest.raises(IndexError):
-            rows[2]
+        history = log.history_for("same", initial_value="same")
+        assert history._table.count("same") == 1
 
 
 def _real_run_histories():
-    """Per-key histories of real runs, in both representations."""
+    """Per-key histories of real runs, as columns and as rows."""
     pairs = []
     for spec in (
         kv_uniform(num_keys=8, num_ops=80, seed=11),
@@ -218,27 +196,4 @@ class TestCheckerDifferential:
         for key, columnar, objects in _real_run_histories():
             col_report = check_swmr_atomicity(columnar, raise_on_violation=False)
             obj_report = check_swmr_atomicity(objects, raise_on_violation=False)
-            assert col_report.ok == obj_report.ok, key
-            assert col_report.violations == obj_report.violations, key
-
-    def test_wing_gong_verdicts_and_witnesses_identical(self):
-        for key, columnar, objects in _real_run_histories():
-            col = check_linearizability(columnar)
-            obj = check_linearizability(objects)
-            assert col.linearizable == obj.linearizable, key
-            assert col.operations == obj.operations, key
-            assert col.states_explored == obj.states_explored, key
-            assert is_linearizable(columnar) == is_linearizable(objects), key
-
-            col_witness = find_linearization(columnar)
-            obj_witness = find_linearization(objects)
-            assert (col_witness is None) == (obj_witness is None), key
-            if col_witness is not None:
-                # Same linearization order on both representations, and each
-                # witness independently verifies against its own history
-                # (verify_witness matches operations by identity).
-                assert [op.to_dict() for op in col_witness] == [
-                    op.to_dict() for op in obj_witness
-                ], key
-                assert verify_witness(columnar, col_witness) == [], key
-                assert verify_witness(objects, obj_witness) == [], key
+            assert col_report == obj_report, key

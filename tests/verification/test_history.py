@@ -80,24 +80,6 @@ class TestHistoryViews:
         assert [op.value for op in history.by_process(0)] == ["v1", "v2"]
         assert len(history.by_process(1)) == 2
 
-    def test_writer_pids(self):
-        assert self._sample().writer_pids() == {0}
-
-    def test_written_values_distinct(self):
-        assert self._sample().written_values_distinct()
-        duplicate = make_history(
-            [(0, "write", "v1", 0.0, 1.0), (0, "write", "v1", 2.0, 3.0)], initial_value="v0"
-        )
-        assert not duplicate.written_values_distinct()
-        clash_with_initial = make_history([(0, "write", "v0", 0.0, 1.0)], initial_value="v0")
-        assert not clash_with_initial.written_values_distinct()
-
-    def test_written_values_distinct_with_unhashable_values(self):
-        history = make_history(
-            [(0, "write", ["a"], 0.0, 1.0), (0, "write", ["b"], 2.0, 3.0)], initial_value=None
-        )
-        assert history.written_values_distinct()
-
     def test_max_concurrency(self):
         sequential = make_history(
             [(0, "write", "v1", 0.0, 1.0), (1, "read", "v1", 2.0, 3.0)], initial_value="v0"

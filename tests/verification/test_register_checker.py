@@ -5,22 +5,46 @@ import time
 
 import pytest
 
+from repro.exec.oplog import OpLog
 from repro.registers.base import OperationKind, OperationRecord
 from repro.store.store import create_store
-from repro.verification.columnar import ColumnarHistory
+from repro.verification import register_checker
 from repro.verification.history import History, OpKind, Operation, make_history
 from repro.verification.linearizability import check_histories_per_key
-from repro.verification.register_checker import (
-    AtomicityViolation,
-    _check_columns,
-    check_swmr_atomicity,
-)
+from repro.verification.register_checker import AtomicityViolation, check_swmr_atomicity
 
 
 def check(entries, initial="v0", raise_on_violation=False):
     return check_swmr_atomicity(
         make_history(entries, initial_value=initial), raise_on_violation=raise_on_violation
     )
+
+
+def record_entries(oplog, entries, key="k"):
+    """Record ``make_history``-style entries into ``oplog`` under ``key``."""
+    for op_id, (pid, kind, payload, start, end) in enumerate(entries):
+        op_kind = OperationKind(kind)
+        value = payload if op_kind is OperationKind.WRITE else None
+        row = oplog.note_created(op_kind, key, value)
+        record = OperationRecord(
+            op_id=op_id,
+            pid=pid,
+            kind=op_kind,
+            value=value,
+            invoked_at=start,
+            responded_at=end,
+            result=payload if op_kind is OperationKind.READ else None,
+        )
+        oplog.note_issued(row, record)
+        if end is not None:
+            oplog.note_completed(row, record)
+
+
+def oplog_history(entries, initial="v0"):
+    """The same entries as a store's per-key columnar history."""
+    oplog = OpLog()
+    record_entries(oplog, entries)
+    return oplog.history_for("k", initial_value=initial)
 
 
 class TestAcceptedHistories:
@@ -201,22 +225,7 @@ class TestWriterProgramOrder:
 
     def _store_report(self):
         store = create_store(num_shards=1, replication=3, algorithm="two-bit", initial_value="v0")
-        oplog = store.driver.oplog
-        for op_id, (pid, kind, payload, start, end) in enumerate(self.ENTRIES):
-            op_kind = OperationKind(kind)
-            value = payload if op_kind is OperationKind.WRITE else None
-            row = oplog.note_created(op_kind, "k", value)
-            record = OperationRecord(
-                op_id=op_id,
-                pid=pid,
-                kind=op_kind,
-                value=value,
-                invoked_at=start,
-                responded_at=end,
-                result=payload if op_kind is OperationKind.READ else None,
-            )
-            oplog.note_issued(row, record)
-            oplog.note_completed(row, record)
+        record_entries(store.driver.oplog, self.ENTRIES)
         return store.check_atomicity(raise_on_violation=False)
 
     def test_read_at_the_writes_response_instant_is_pinned(self):
@@ -225,7 +234,7 @@ class TestWriterProgramOrder:
 
     def test_all_entry_points_report_the_same_violations(self):
         history = make_history(self.ENTRIES, initial_value="v0")
-        columnar = ColumnarHistory.from_history(history)
+        columnar = oplog_history(self.ENTRIES)
         by_entry_point = {
             "History": check_swmr_atomicity(history, raise_on_violation=False).violations,
             "ColumnarHistory": check_swmr_atomicity(columnar, raise_on_violation=False).violations,
@@ -275,12 +284,11 @@ class TestEquality:
         assert check([(0, "write", 1, 0.0, 1.0), (1, "read", 1.0, 2.0, 3.0)]).ok
 
     def test_exact_integer_timestamps_are_honoured(self):
-        history = make_history([(0, "write", "v1", 0, 1), (1, "read", "v0", 2, 3)], "v0")
-        columnar = ColumnarHistory.from_history(history)
-        assert columnar._invoked_exact
-        expected = check_swmr_atomicity(history, raise_on_violation=False).violations
-        assert expected == check_swmr_atomicity(columnar, raise_on_violation=False).violations
-        assert "[2.000, 3.000]" in expected[0]
+        entries = [(0, "write", "v1", 0, 1), (1, "read", "v0", 2, 3)]
+        expected = check_swmr_atomicity(make_history(entries, "v0"), raise_on_violation=False)
+        columnar = check_swmr_atomicity(oplog_history(entries), raise_on_violation=False)
+        assert expected.violations == columnar.violations
+        assert "[2.000, 3.000]" in expected.violations[0]
 
 
 class TestPerKeyRouting:
@@ -289,7 +297,10 @@ class TestPerKeyRouting:
             [(0, "write", [1], 0.0, 1.0), (0, "write", [2], 2.0, 3.0), (1, "read", [2], 4.0, 5.0)],
             initial_value="v0",
         )
-        for candidate in (history, ColumnarHistory.from_history(history)):
+        columnar = oplog_history(
+            [(0, "write", [1], 0.0, 1.0), (0, "write", [2], 2.0, 3.0), (1, "read", [2], 4.0, 5.0)]
+        )
+        for candidate in (history, columnar):
             result = check_histories_per_key({"k": candidate}).per_key["k"]
             assert result.method == "wing-gong"
             assert result.linearizable
@@ -297,11 +308,37 @@ class TestPerKeyRouting:
         with pytest.raises(TypeError):
             check_swmr_atomicity(history)
 
-    def test_out_of_scope_history_returns_none_when_not_strict(self):
+    def test_out_of_scope_history_goes_to_wing_gong(self):
         two_writers = make_history([(0, "write", "a", 0.0, 1.0), (1, "write", "b", 2.0, 3.0)])
-        assert _check_columns(ColumnarHistory.from_history(two_writers), strict=False) is None
+        result = check_histories_per_key({"k": two_writers}).per_key["k"]
+        assert result.method == "wing-gong" and result.linearizable
         with pytest.raises(ValueError, match="2 writers"):
             check_swmr_atomicity(two_writers)
+
+    def test_operations_other_than_reads_and_writes_are_rejected(self):
+        history = History(
+            operations=[
+                Operation(0, OpKind.WRITE, value="a", invoked_at=0.0, responded_at=1.0, op_id=0),
+                Operation(1, OpKind.CAS, value=("a", "b"), result=True, invoked_at=2.0, responded_at=3.0, op_id=1),
+            ],
+            initial_value="v0",
+        )
+        with pytest.raises(ValueError, match="holds a cas operation"):
+            check_swmr_atomicity(history)
+
+    def test_per_key_checks_go_through_the_public_entry_point(self, monkeypatch):
+        calls = []
+        original = register_checker.check_swmr_atomicity
+
+        def spy(history, raise_on_violation=True):
+            calls.append(raise_on_violation)
+            return original(history, raise_on_violation=raise_on_violation)
+
+        monkeypatch.setattr(register_checker, "check_swmr_atomicity", spy)
+        histories = {"a": oplog_history([(0, "write", "v1", 0.0, 1.0)]), "b": oplog_history([])}
+        report = check_histories_per_key(histories)
+        assert calls == [False, False]
+        assert {result.method for result in report.per_key.values()} == {"swmr-claims"}
 
     def test_claims_count_every_relevant_operation(self):
         history = make_history(
@@ -320,16 +357,13 @@ class TestPerKeyRouting:
 
 def _zero_think_writer_history(num_ops):
     """The writer alternates write and read of its own value, back to back."""
-    operations = []
+    entries = []
     for op_id in range(num_ops):
         start = float(op_id)
         seq = op_id // 2 + 1
-        if op_id % 2 == 0:
-            op = Operation(0, OpKind.WRITE, value=f"v{seq}", invoked_at=start, responded_at=start + 1.0, op_id=op_id)
-        else:
-            op = Operation(0, OpKind.READ, result=f"v{seq}", invoked_at=start, responded_at=start + 1.0, op_id=op_id)
-        operations.append(op)
-    return ColumnarHistory.from_history(History(operations=operations, initial_value="v0"))
+        kind = "write" if op_id % 2 == 0 else "read"
+        entries.append((0, kind, f"v{seq}", start, start + 1.0))
+    return oplog_history(entries)
 
 
 def _best_check_seconds(history, repeats=5):

@@ -8,7 +8,9 @@ the route a history takes to the checker:
 * the OpLog shipped over the load generator's wire (``encode_oplog`` /
   ``decode_oplog``) checks to the same per-key verdicts as the store itself;
 * the single-writer claims fast path and the Wing–Gong search agree on
-  every key.
+  every key;
+* the claims checker returns the same report on a key's columns as on its
+  ``to_history()`` rows, violating histories included.
 
 The matrix spans both driving loops, a skewed key distribution and a
 fault-plan run with partitions.
@@ -17,7 +19,9 @@ fault-plan run with partitions.
 import pytest
 
 from repro.exec.oplog import decode_oplog, encode_oplog
+from repro.verification.history import OpKind
 from repro.verification.linearizability import check_histories_per_key
+from repro.verification.register_checker import check_swmr_atomicity
 from repro.workloads.kv import run_kv_workload
 from repro.workloads.scenarios import kv_openloop, kv_partitioned, kv_uniform, kv_zipfian
 
@@ -74,3 +78,45 @@ class TestSerialDifferential:
         assert fast.operations_checked == search.operations_checked
         assert fast.ok
         assert {check.method for check in search.per_key.values()} <= {"wing-gong", "trivial"}
+
+
+def stale_read(history):
+    """Rewrite one read's result index to an older written value, in place.
+
+    The read starts after a write completed and now returns the value of
+    the write before it: a Claim-2 violation.  Returns False when the key
+    has no such read (fewer than two writes, or no read after them).
+    """
+    _pids, kinds, _values, _results, invoked, responded, _ = history.fields()
+    writes = sorted(
+        (row for row, kind in enumerate(kinds) if kind is OpKind.WRITE), key=invoked.__getitem__
+    )
+    for row, kind in enumerate(kinds):
+        if kind is not OpKind.READ or responded[row] is None:
+            continue
+        for newer, older in zip(reversed(writes), reversed(writes[:-1])):
+            if responded[newer] is not None and responded[newer] < invoked[row]:
+                history._result_idx[row] = history._value_idx[older]
+                return True
+    return False
+
+
+class TestClaimsAdapterParity:
+    """The claims checker reads store columns and ``Operation`` rows alike."""
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_columns_and_rows_give_equal_reports(self, name):
+        store = run_kv_workload(CASES[name]()).store
+        mutated = 0
+        for key, history in store.histories().items():
+            report = check_swmr_atomicity(history, raise_on_violation=False)
+            assert report == check_swmr_atomicity(history.to_history(), raise_on_violation=False), key
+            assert report.ok, key
+            if stale_read(history):
+                mutated += 1
+                report = check_swmr_atomicity(history, raise_on_violation=False)
+                rows = check_swmr_atomicity(history.to_history(), raise_on_violation=False)
+                assert not report.ok, key
+                assert report == rows, key
+                assert report.violations == rows.violations, key
+        assert mutated, "no key had a read to rewrite"
